@@ -131,19 +131,6 @@ class ExperimentRunner:
                 self._runs[spec] = result
         return [self._runs[spec] for spec in specs]
 
-    def run(self, workload_name: str, policy_name: str) -> RunResult:
-        """Removed — the historical cell-at-a-time entry point.
-
-        Raises immediately with migration directions; kept as a stub
-        (rather than deleted) so stale call sites fail with an
-        actionable message instead of an ``AttributeError``.
-        """
-        raise RuntimeError(
-            "ExperimentRunner.run() was removed; build a RunSpec "
-            "(spec_for/RunSpec.core) and use submit()/RunSpec.execute(), "
-            "or batch through grid()/runs_for() so cells fan out together"
-        )
-
     def runs_for(self, workload_name: str,
                  policies: tuple[str, ...] = CORE_POLICIES) -> WorkloadRuns:
         """All requested policy runs for one workload."""

@@ -14,7 +14,6 @@ from repro.policies.registry import (
     available_policies,
     make_policy,
     policy_factory,
-    proposed_with,
     register_policy,
     replacement_algorithm,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "available_policies",
     "make_policy",
     "policy_factory",
-    "proposed_with",
     "register_policy",
     "replacement_algorithm",
 ]

@@ -24,19 +24,6 @@ class HybridMemoryPolicy(abc.ABC):
     #: Short identifier used in reports and the policy registry.
     name: str = "abstract"
 
-    #: Audit flag for the sampled engine (:mod:`repro.sampling`): a
-    #: policy is sampling-safe when its decisions derive only from
-    #: per-page state (recency/frequency counters of the accessed page,
-    #: queue positions) and window sizes expressed as fractions of the
-    #: frame budget — both of which spatial page sampling preserves.
-    #: Every registered policy qualifies (per-page counters count that
-    #: page's own accesses; ``MigrationConfig`` windows scale with the
-    #: sampled NVM frame count).  A policy keyed on *global*
-    #: request-stream state (e.g. absolute request ordinals feeding a
-    #: threshold) must set this ``False``; ``engine="sampled"`` then
-    #: refuses it instead of silently distorting its dynamics.
-    sampling_safe: bool = True
-
     def __init__(self, mm: MemoryManager) -> None:
         self.mm = mm
 

@@ -19,7 +19,6 @@ from repro.mmu.manager import MemoryManager
 from repro.policies.base import HybridMemoryPolicy, PolicyFactory
 
 if TYPE_CHECKING:
-    from repro.core.config import MigrationConfig
     from repro.policies.replacement import ReplacementAlgorithm
 
 _FACTORIES: dict[str, PolicyFactory] = {}  # repro: worker-local
@@ -152,21 +151,6 @@ def register_policy(name: str, factory: PolicyFactory) -> None:
     if name in _FACTORIES:
         raise ValueError(f"policy {name!r} already registered")
     _FACTORIES[name] = factory
-
-
-def proposed_with(config: "MigrationConfig") -> PolicyFactory:
-    """Removed — the pre-RunSpec config-object factory.
-
-    Raises immediately with migration directions; kept as a stub
-    (rather than deleted) so stale call sites fail with an actionable
-    message instead of an ``ImportError``.
-    """
-    raise RuntimeError(
-        'proposed_with() was removed; use policy_factory("proposed", '
-        "overrides) with an override mapping (e.g. dataclasses.asdict "
-        "of a MigrationConfig) — structured overrides are what RunSpec "
-        "serialises, caches and ships across the worker pool"
-    )
 
 
 def replacement_algorithm(name: str, capacity: int) -> "ReplacementAlgorithm":

@@ -15,10 +15,8 @@ sampled page, so per-page reuse behaviour — the counter dynamics the
 migration policies key on — is preserved exactly; only the page
 population shrinks, and the frame budget shrinks with it, so queue
 *pressure* (frames per hot page) matches the full configuration.  Every
-policy whose decisions derive from per-page state (all registered ones:
-their ``sampling_safe`` audit flag rides on
-:class:`~repro.policies.base.HybridMemoryPolicy`) therefore sees a
-statistically equivalent workload.
+policy whose decisions derive from per-page state (all registered ones)
+therefore sees a statistically equivalent workload.
 
 Scale-up (:func:`scale_accounting`) keys each counter family to how it
 is best known: fault/migration/eviction flows scale by the measured
@@ -432,12 +430,6 @@ def sample_spec(
     policy_factory = (
         factory if factory is not None else spec.build_policy_factory()
     )
-    if not getattr(policy_factory, "sampling_safe", True):
-        raise SamplingError(
-            f"policy {spec.policy!r} declares sampling_safe=False (its "
-            "decisions depend on global request-stream state, which "
-            "spatial sampling distorts); use engine=\"simulate\""
-        )
 
     # Adaptive escalation (SHARDS-style rate adaptation on the rare
     # events): replay the sample, and if it observed too few faults —

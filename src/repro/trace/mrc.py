@@ -9,7 +9,9 @@ cache, so an access hits at capacity C iff its stack distance is
 below C.
 
 Used by the capacity ablation and available as library tooling for
-sizing studies on user traces.
+sizing studies on user traces.  The distance kernel underneath,
+:func:`recency_distances`, also builds the analytic engine's workload
+profiles (:mod:`repro.model.profile`).
 """
 
 from __future__ import annotations
@@ -65,31 +67,136 @@ class MissRatioCurve:
         return self.cold_misses / self.total_accesses
 
 
+def _count_below(
+    values: np.ndarray, limits: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """Offline dominance count: ``#{j < limits[k] : values[j] <
+    thresholds[k]}`` for every query ``k`` (all inputs non-negative).
+
+    A wavelet matrix over ``values``, walked by all queries at once: at
+    each bit level, most significant first, the elements are stably
+    partitioned zeros-first and every query's index range ``[lo, hi)``
+    follows its threshold's bit to one side; stepping to the 1-side
+    counts the range's zeros, which are all below the threshold.
+    ``O((n + q) log max)`` work in ``O(log max)`` vectorised passes.
+    The buffers are preallocated and updated in place: fresh
+    temporaries of this size cost a page-fault burst each, and peak
+    memory stays at a few words per element.
+    """
+    size, queries = values.shape[0], limits.shape[0]
+    narrow = np.int32 if size < np.iinfo(np.int32).max else np.int64
+    top = int(max(values.max(initial=0), thresholds.max(initial=0)))
+    zeros_before = np.zeros(size + 1, dtype=narrow)
+    zeros = zeros_before[:-1]
+    step = np.arange(size, dtype=np.intp)
+    current, spare = values.astype(narrow), np.empty(size, dtype=narrow)
+    bits, slot = np.empty(size, dtype=narrow), np.empty(size, dtype=np.intp)
+    thresholds = thresholds.astype(narrow)
+    counts = np.zeros(queries, dtype=narrow)
+    right, zeros_lo, zeros_hi = (np.empty_like(counts) for _ in range(3))
+    lo, hi = np.zeros(queries, dtype=np.intp), limits.astype(np.intp)
+    for level in reversed(range(top.bit_length())):
+        np.right_shift(current, level, out=bits)
+        bits &= 1
+        np.subtract(1, bits, out=spare)
+        np.cumsum(spare, out=zeros_before[1:])
+        total = int(zeros_before[-1])
+        # Element k moves to zeros[k] on a 0-bit and to
+        # total + (k - zeros[k]) on a 1-bit.
+        np.subtract(step, zeros, out=slot)
+        slot += total
+        slot -= zeros
+        slot *= bits
+        slot += zeros
+        spare[slot] = current
+        current, spare = spare, current
+
+        np.right_shift(thresholds, level, out=right)
+        right &= 1
+        np.take(zeros_before, lo, out=zeros_lo, mode="clip")
+        np.take(zeros_before, hi, out=zeros_hi, mode="clip")
+        # Each range end moves the same way its element would.
+        for end, below in ((lo, zeros_lo), (hi, zeros_hi)):
+            end -= below
+            end += total
+            end -= below
+            end *= right
+            end += below
+        zeros_hi -= zeros_lo
+        zeros_hi *= right
+        counts += zeros_hi
+    return counts
+
+
+def recency_distances(
+    pages: np.ndarray, marked: np.ndarray | None = None
+) -> np.ndarray:
+    """Distinct pages marked since each access's page was last marked.
+
+    For access ``i`` whose page was last *marked* at ``w < i``, the
+    result is the number of distinct pages with a marked access in
+    ``(w, i)``; -1 if the page has no earlier marked access.  With
+    every access marked (``marked=None``) that is the Mattson LRU
+    stack distance; with ``marked`` = the write mask it is the page's
+    position in the most-recently-written ordering.
+
+    No per-access Python: one stable argsort by page gives each
+    access's previous mark ``w``.  Every page marked in ``(w, i)`` is
+    counted once, at its first marked access ``j`` there, which is
+    exactly a marked ``j < i`` whose own previous mark is before
+    ``w``; the marked ``j <= w`` meet that condition too and are
+    subtracted.  The count is one offline dominance query
+    (:func:`_count_below`).
+    """
+    pages = np.asarray(pages)
+    size = pages.shape[0]
+    if size == 0:
+        return np.empty(0, dtype=np.int64)
+    marked = (np.ones(size, dtype=bool) if marked is None
+              else np.asarray(marked, dtype=bool))
+    order = np.argsort(pages, kind="stable")
+    ordered = pages[order]
+    starts = np.empty(size, dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    # Intermediates are dropped as soon as they are used: this build's
+    # peak memory sets a profiled sweep's peak.
+    del ordered
+    # Stamp each marked access with its position + 1 on top of a
+    # per-page base, so a running maximum over the page-sorted order
+    # yields the latest mark so far and never leaks across pages.
+    base = np.cumsum(starts, dtype=np.int64)
+    base -= 1
+    base *= size + 1
+    latest = order + 1
+    latest *= marked[order]
+    latest += base
+    np.maximum.accumulate(latest, out=latest)
+    np.subtract(latest[:-1], base[1:], out=base[1:])
+    np.maximum(base, 0, out=base)
+    base[0] = 0
+    del latest
+    # since[i] = previous mark of i's page + 1, 0 if there is none.
+    since = np.empty(size, dtype=np.int64)
+    since[order] = base
+    del base, order
+    marks_before = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(marked, out=marks_before[1:])
+    counts = _count_below(since[marked], marks_before[:-1], since)
+    distances = marks_before[since]
+    np.subtract(counts, distances, out=distances)
+    distances[since == 0] = -1
+    return distances
+
+
 def stack_distances(trace: Trace, sample_cap: int | None = None) -> np.ndarray:
     """LRU stack distance per access; -1 marks first touches.
 
-    O(n * d) with the list-based stack (d = average distance), fine at
-    the library's simulation scales; ``sample_cap`` bounds the work on
-    very long traces.
+    ``sample_cap`` restricts the result to the trace's first
+    ``sample_cap`` accesses.
     """
     pages = np.asarray(trace.pages)
-    limit = len(pages) if sample_cap is None else min(len(pages), sample_cap)
-    stack: list[int] = []          # LRU order, most recent last
-    index_of: dict[int, int] = {}
-    distances = np.empty(limit, dtype=np.int64)
-    for position in range(limit):
-        page = int(pages[position])
-        if page in index_of:
-            location = index_of[page]
-            distances[position] = len(stack) - 1 - location
-            stack.pop(location)
-            for moved in range(location, len(stack)):
-                index_of[stack[moved]] = moved
-        else:
-            distances[position] = -1
-        index_of[page] = len(stack)
-        stack.append(page)
-    return distances
+    return recency_distances(pages[:sample_cap])
 
 
 def miss_ratio_curve(

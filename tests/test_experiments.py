@@ -105,10 +105,6 @@ class TestRunner:
         second = runner.submit([spec])[0]
         assert first is second
 
-    def test_run_shim_removed(self, runner):
-        with pytest.raises(RuntimeError, match="RunSpec"):
-            runner.run("bodytrack", "proposed")
-
     def test_baseline_specs_single_module(self, runner):
         dram_run, nvm_run, hybrid = runner.submit([
             runner.spec_for("bodytrack", "dram-only"),

@@ -4,8 +4,13 @@ tier-membership propagation, the estimators and the RunSpec plumbing
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.executor import ParallelExecutor, ResultCache
 from repro.experiments.runspec import ENGINES, RunSpec
@@ -130,13 +135,121 @@ class TestPromotionChain:
 # ---------------------------------------------------------------------------
 # Workload profiling
 # ---------------------------------------------------------------------------
+def _reference_distances(pages, writes):
+    """Both distance arrays straight from their definitions, O(n^2):
+    distinct pages (written pages) strictly between an access and its
+    page's previous access (previous write); -1 if there is none."""
+    distances, write_distances = [], []
+    for i, page in enumerate(pages):
+        touched = [j for j in range(i) if pages[j] == page]
+        distances.append(
+            len({pages[j] for j in range(touched[-1] + 1, i)})
+            if touched else -1)
+        written = [j for j in touched if writes[j]]
+        write_distances.append(
+            len({pages[j] for j in range(written[-1] + 1, i) if writes[j]})
+            if written else -1)
+    return distances, write_distances
+
+
+@st.composite
+def _profiled_traces(draw):
+    """A trace plus a sample cap, biased toward the kernel's edges:
+    empty and 1-request traces, one hot page, all-write and no-write
+    traces, sparse page ids up to 2**40 and caps below the length."""
+    size = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 60)))
+    ids = draw(st.one_of(
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=1),
+        st.lists(st.integers(0, 12), min_size=1, max_size=8, unique=True),
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=8,
+                 unique=True),
+    ))
+    pages = draw(st.lists(st.sampled_from(ids), min_size=size,
+                          max_size=size))
+    writes = draw(st.one_of(
+        st.just([False] * size),
+        st.just([True] * size),
+        st.lists(st.booleans(), min_size=size, max_size=size),
+    ))
+    cap = draw(st.one_of(st.none(), st.integers(0, size)))
+    return pages, writes, cap
+
+
+#: sha256 of the distance arrays of the three ``sweep-engines``
+#: workloads at the ``repro sweep`` defaults, recorded from the
+#: per-access Fenwick-tree implementation the vectorised kernel
+#: replaced.
+_SWEEP_DISTANCE_DIGESTS = {
+    "dedup": (
+        "8b4c854636c37c510c1f02633aa745b88492be92bac346ac1e0551c1227d1e7a",
+        "bb005a3e02935880d3febe18d03a1d23c0072a81789e30e5add4ef867b0161bb",
+    ),
+    "canneal": (
+        "a7f12766cfdf2b455fc358f6b864dd7eb35c69a1906dfc0ccca9f8d14711b030",
+        "e66d0d420aa6a5c06bcfd8f131a9096db0b4a598a38af6a6e42b7c9d416bc1c4",
+    ),
+    "raytrace": (
+        "902967ac89a7b617c0ae7e4a300f062ef529e60356453c459fb56d2f5c302b2d",
+        "dbaae6bd899b4c946a73e00b12e988eb7b24203913c79106228d733996d5c142",
+    ),
+}
+
+#: sha256 of the canonical ``RunResult.to_dict()`` JSON of analytic
+#: sweep cells (workload, read threshold, write threshold), recorded
+#: alongside the distance digests.
+_SWEEP_RESULT_DIGESTS = {
+    ("dedup", 1, 1):
+        "893f76e27fb0d315fee307d24a17f24e90ecb2efaa40a643001050ea61691f6e",
+    ("dedup", 64, 16):
+        "2c87d81fc2edd44da8125145f6f51b0be61d13ee4c23918bf211fba0c9baa58e",
+    ("canneal", 8, 4):
+        "cf7b14e07f78bc9cbb55ce2549f6ee528ea339288d22cd900eac9cfc14b36f61",
+    ("raytrace", 1, 1):
+        "a457346a2de91ad1876e69255af33101a140b725693461464c61d47ee419763b",
+    ("raytrace", 64, 16):
+        "657a5a5797f57aa71b4ee922fd0755d5feed657be17d1c37c9b8a4269a0a5002",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestProfile:
-    def test_fenwick_distances_match_reference(self):
-        rng = np.random.default_rng(11)
-        trace = _trace(rng.integers(0, 40, size=600))
-        profile = profile_trace(trace)
-        expected = stack_distances(trace)
-        assert np.array_equal(profile.distances, expected)
+    @settings(max_examples=300, deadline=None)
+    @given(case=_profiled_traces())
+    def test_distances_match_definitions(self, case):
+        pages, writes, cap = case
+        trace = _trace(pages, writes)
+        limit = len(pages) if cap is None else cap
+        expected, expected_writes = _reference_distances(
+            pages[:limit], writes[:limit])
+        profile = profile_trace(trace, sample_cap=cap)
+        assert profile.distances.tolist() == expected
+        assert profile.write_distances.tolist() == expected_writes
+        assert stack_distances(trace, sample_cap=cap).tolist() == expected
+
+    def test_sweep_distances_pinned(self):
+        for workload, digests in _SWEEP_DISTANCE_DIGESTS.items():
+            instance = RunSpec(workload, policy="proposed",
+                               seed=2016).render()
+            profile = profile_workload(instance)
+            assert (_sha256(profile.distances.tobytes()),
+                    _sha256(profile.write_distances.tobytes())) == digests
+
+    def test_sweep_analytic_results_pinned(self):
+        instances = {}
+        for (workload, read, write), digest in _SWEEP_RESULT_DIGESTS.items():
+            spec = RunSpec(workload, policy="proposed", seed=2016,
+                           engine="analytic",
+                           policy_overrides={"read_threshold": read,
+                                             "write_threshold": write})
+            if workload not in instances:
+                instances[workload] = spec.render()
+            result = spec.execute(instance=instances[workload])
+            canonical = json.dumps(json.loads(json.dumps(result.to_dict())),
+                                   sort_keys=True, separators=(",", ":"))
+            assert _sha256(canonical.encode()) == digest
 
     def test_write_distance_tracks_written_ordering(self):
         # Pages 0,1,2 written in order, then page 0 read: two distinct

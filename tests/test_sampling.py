@@ -11,8 +11,7 @@ The engine's load-bearing promises, pinned:
   (warm caches survive), and sampled results round-trip losslessly
   through the on-disk result cache and the worker pool.
 * **Validation** — the one-engine-one-meaning rules: ``events=`` only
-  on the simulator, ``sampling=`` only on the sampled engine, and
-  policies that declare ``sampling_safe=False`` are refused.
+  on the simulator, ``sampling=`` only on the sampled engine.
 * **Membership consistency** — the unique-level fast path
   (:func:`page_membership`) selects exactly the pages the request-level
   :func:`sample_mask` does, for every per-page scheme.
@@ -32,7 +31,6 @@ from repro.experiments.runspec import RunSpec
 from repro.memory.specs import HybridMemorySpec
 from repro.policies.registry import available_policies
 from repro.sampling import MetricInterval, SamplingConfig, SamplingSummary
-from repro.sampling.engine import SamplingError, sample_spec
 from repro.trace.sampling import (
     SAMPLING_SCHEMES,
     page_membership,
@@ -198,17 +196,6 @@ class TestValidation:
     def test_sampled_specs_always_carry_a_config(self):
         assert RunSpec("dedup", engine="sampled").sampling \
             == SamplingConfig()
-
-    def test_sampling_unsafe_factory_is_refused(self, zipf_instance):
-        spec = RunSpec("dedup", engine="sampled",
-                       sampling=SamplingConfig(rate=2))
-
-        def factory(manager):  # pragma: no cover - never called
-            raise AssertionError("factory must not run")
-
-        factory.sampling_safe = False
-        with pytest.raises(SamplingError, match="sampling_safe"):
-            sample_spec(spec, instance=zipf_instance, factory=factory)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.policies.registry import (
     available_policies,
     make_policy,
     policy_factory,
-    proposed_with,
     register_policy,
 )
 from repro.policies.single_tier import DramOnlyPolicy, NvmOnlyPolicy
@@ -22,7 +21,6 @@ from repro.policies.variants import (
     NeverMigratePolicy,
     StaticPartitionPolicy,
 )
-from repro.core.config import MigrationConfig
 
 
 def _hybrid_spec(dram=4, nvm=12) -> HybridMemorySpec:
@@ -142,8 +140,3 @@ class TestRegistry:
     def test_double_registration_rejected(self):
         with pytest.raises(ValueError):
             register_policy("proposed", lambda mm: None)
-
-    def test_proposed_with_removed(self):
-        with pytest.raises(RuntimeError, match="policy_factory"):
-            proposed_with(MigrationConfig(read_threshold=3,
-                                          write_threshold=1))
