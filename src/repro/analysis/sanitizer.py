@@ -31,19 +31,17 @@ autouse fixture).
 
 from __future__ import annotations
 
-import os
 from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from repro.mmu.dma import Channel
 from repro.mmu.page import PageLocation
+from repro.mmu.simulator import SANITIZE_ENV as SANITIZE_ENV
+from repro.mmu.simulator import sanitize_default as sanitize_default
 
 if TYPE_CHECKING:
     from repro.mmu.manager import MemoryManager
     from repro.policies.base import HybridMemoryPolicy
-
-#: Environment variable that flips the simulator's sanitize default.
-SANITIZE_ENV = "REPRO_SANITIZE"
 
 #: Default cadence of the expensive page-table/frame cross-check.
 #: The deep pass is O(resident pages); 4096 keeps its cost well under
@@ -62,13 +60,6 @@ _EVICTION_CHANNELS = (
 )
 _PROMOTION_CHANNEL = Channel(PageLocation.NVM, PageLocation.DRAM)
 _DEMOTION_CHANNEL = Channel(PageLocation.DRAM, PageLocation.NVM)
-
-
-def sanitize_default() -> bool:
-    """Whether simulators sanitize when not told explicitly."""
-    return os.environ.get(SANITIZE_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
 
 
 class SanitizerError(AssertionError):

@@ -51,8 +51,6 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.cli import list_rules, run_lint
-from repro.analysis.sanitizer import SANITIZE_ENV
 from repro.experiments.claims import claims_hold, verify_claims
 from repro.experiments.executor import (
     DEFAULT_CACHE_DIR,
@@ -70,7 +68,7 @@ from repro.memory.endurance import compute_nvm_writes
 from repro.memory.metrics import compute_performance
 from repro.memory.power import compute_power
 from repro.memory.specs import HybridMemorySpec
-from repro.mmu.simulator import RunResult, simulate
+from repro.mmu.simulator import SANITIZE_ENV, RunResult, simulate
 from repro.obs.config import EventConfig
 from repro.obs.summary import EventSummary
 from repro.policies.registry import available_policies, policy_factory
@@ -401,6 +399,8 @@ def _cmd_claims(args) -> int:
 
 
 def _cmd_lint(args) -> int:
+    from repro.analysis.cli import list_rules, run_lint
+
     if args.list_rules:
         return list_rules()
     return run_lint(args.paths, select=args.select, deep=args.deep,

@@ -9,6 +9,7 @@ models on the resulting event counts.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -42,6 +43,18 @@ if TYPE_CHECKING:  # avoid a package-level cycle with repro.policies
 #: :data:`repro.policies.base.PolicyFactory`; duplicated here so the
 #: mmu layer does not import the policies package at module load).
 PolicyFactory = Callable[[MemoryManager], "HybridMemoryPolicy"]
+
+#: Environment variable that flips the simulator's sanitize default.
+#: It lives here, not in :mod:`repro.analysis.sanitizer`, so that a run
+#: that does not sanitize never imports the analysis package.
+SANITIZE_ENV = "REPRO_SANITIZE"
+
+
+def sanitize_default() -> bool:
+    """Whether simulators sanitize when not told explicitly."""
+    return os.environ.get(SANITIZE_ENV, "").strip().lower() in (
+        "1", "true", "yes", "on",
+    )
 
 
 @dataclass(frozen=True)
@@ -195,7 +208,6 @@ class HybridMemorySimulator:
         self.mm = MemoryManager(spec)
         self.policy = policy_factory(self.mm)
         if sanitize is None:
-            from repro.analysis.sanitizer import sanitize_default
             sanitize = sanitize_default()
         self.sanitize = bool(sanitize)
         if self.sanitize:

@@ -66,6 +66,7 @@ from repro.model.markov import (
     survival_probability,
 )
 from repro.model.profile import WorkloadProfile, profile_workload
+from repro.trace.trace import PageIndex
 
 if TYPE_CHECKING:
     from repro.experiments.runspec import RunSpec
@@ -131,7 +132,7 @@ def _eviction_split(
 # Tier-membership propagation (proposed policy)
 # ---------------------------------------------------------------------------
 def _fill_residency(
-    page_index: np.ndarray,
+    index: PageIndex,
     fault: np.ndarray,
     distinct: np.ndarray,
     frames: int,
@@ -152,16 +153,14 @@ def _fill_residency(
 
     The DRAM-hit pressure itself depends on residency, so callers run
     two passes: fills-only first, then once more with the first pass's
-    residency as the DRAM-hit indicator.
+    residency as the DRAM-hit indicator.  Both walk the profile's
+    stable page order (``index``); neither sorts.
     """
     n = int(fault.shape[0])
     if n == 0 or frames <= 0:
         return np.zeros(n, dtype=bool)
-    order = np.argsort(page_index, kind="stable")
-    seg = page_index[order]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    starts[1:] = seg[1:] != seg[:-1]
+    order = index.order
+    starts = index.starts
     position = order  # original positions, ascending within a segment
 
     fill_cumsum = np.cumsum(fault.astype(np.int64))
@@ -306,9 +305,9 @@ def _proposed_membership(
     fault_full = (profile.distances < 0) | (
         profile.distances >= total_frames
     )
-    warm = _fill_residency(index, fault_full, profile.distances,
+    warm = _fill_residency(profile.index, fault_full, profile.distances,
                            dram_frames)
-    in_dram = _fill_residency(index, fault_full, profile.distances,
+    in_dram = _fill_residency(profile.index, fault_full, profile.distances,
                               dram_frames, dram_hits=warm)
 
     fault = fault_full[span]

@@ -11,11 +11,13 @@ from.  It captures per-access:
 * **Write-recency distances** — the page's position in the
   most-recently-*written* ordering, which decides DRAM membership
   under CLOCK-DWF (DRAM holds roughly the ``C_d`` most recently
-  written pages).
-* **Page identity** (``page_index``) — so the estimators can walk each
-  page's access chain (tier-membership propagation for the proposed
-  policy) and accumulate per-page reference rates for the Che/Markov
-  occupancy model.
+  written pages).  Only the CLOCK-DWF estimator reads them, so they
+  are computed on first access and cached.
+* **Page identity** (``index``, a :class:`~repro.trace.trace.PageIndex`)
+  — so the estimators can walk each page's access chain
+  (tier-membership propagation for the proposed policy) in its stable
+  page order and accumulate per-page reference rates for the
+  Che/Markov occupancy model.
 
 Arrays cover the warm-up prefix *and* the measured region — the
 estimators need warm-up history because tier membership at the
@@ -23,8 +25,12 @@ measurement boundary is set by warm-up fill pressure — while the
 request totals and per-page counts describe the measured region only,
 exactly the region the simulator scores.
 
-Both distance arrays come from
-:func:`repro.trace.mrc.recency_distances`, the vectorised
+A build sorts the trace's pages once: everything page-ordered —
+both distance arrays, the page ids and per-access page positions, the
+footprint — reads the trace's cached
+:class:`~repro.trace.trace.PageIndex` (a prefix's index is derived
+from it without sorting).  Both distance arrays come from
+:func:`repro.trace.mrc.index_distances`, the vectorised
 dominance-count kernel shared with the miss-ratio curves: ``O(n log
 n)`` work in ``O(log n)`` numpy passes, no per-access Python.  Long
 measured regions are truncated at ``sample_cap`` accesses; counts over
@@ -35,11 +41,12 @@ totals stay exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from repro.trace.mrc import recency_distances
-from repro.trace.trace import Trace
+from repro.trace.mrc import index_distances
+from repro.trace.trace import PageIndex, Trace
 from repro.workloads.parsec import WorkloadInstance
 
 __all__ = ["WorkloadProfile", "profile_trace", "profile_workload"]
@@ -55,11 +62,12 @@ class WorkloadProfile:
     """Per-access and per-page statistics of one rendered workload.
 
     The per-access arrays (``distances`` / ``write_distances`` /
-    ``is_write`` / ``page_index``) span ``[0, boundary + sampled)`` of
-    the trace: the warm-up prefix followed by the (possibly truncated)
-    measured region.  Counts taken over the measured span scale to the
-    full measured region by ``weight``; the request totals and the
-    per-page count arrays are exact over the measured span as stored.
+    ``is_write`` / ``page_index``) and ``index`` span ``[0, boundary +
+    sampled)`` of the trace: the warm-up prefix followed by the
+    (possibly truncated) measured region.  Counts taken over the
+    measured span scale to the full measured region by ``weight``; the
+    request totals and the per-page count arrays are exact over the
+    measured span as stored.
     """
 
     name: str
@@ -70,14 +78,27 @@ class WorkloadProfile:
     sampled: int
     weight: float
     distances: np.ndarray = field(repr=False)
-    write_distances: np.ndarray = field(repr=False)
     is_write: np.ndarray = field(repr=False)
-    page_index: np.ndarray = field(repr=False)
-    page_ids: np.ndarray = field(repr=False)
+    index: PageIndex = field(repr=False)
     page_counts: np.ndarray = field(repr=False)
     page_write_counts: np.ndarray = field(repr=False)
     warmup_distinct: int
     footprint: int
+
+    @cached_property
+    def write_distances(self) -> np.ndarray:
+        """Write-recency distance per access, computed on first use."""
+        return index_distances(self.index, self.is_write)
+
+    @property
+    def page_index(self) -> np.ndarray:
+        """Position of each access's page in ``page_ids``."""
+        return self.index.inverse
+
+    @property
+    def page_ids(self) -> np.ndarray:
+        """Sorted distinct pages of the profiled span."""
+        return self.index.pages
 
     @property
     def measured(self) -> slice:
@@ -102,29 +123,24 @@ def profile_trace(
     """Profile a trace around the simulator's warm-up boundary."""
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
-    pages = np.asarray(trace.pages)
     writes = np.asarray(trace.is_write)
-    total = int(pages.shape[0])
+    total = len(trace)
     boundary = int(total * warmup_fraction) if warmup_fraction > 0.0 else 0
     measured = total - boundary
     sampled = measured if sample_cap is None else min(measured, sample_cap)
     limit = boundary + sampled
 
-    distances = recency_distances(pages[:limit])
-    write_distances = recency_distances(pages[:limit], writes[:limit])
-    page_ids, inverse = np.unique(pages[:limit], return_inverse=True)
-    inverse = inverse.astype(np.int64)
+    index = trace.page_index().head(limit)
+    distances = index_distances(index)
     measured_writes = writes[boundary:]
-    span_index = inverse[boundary:limit]
-    page_counts = np.bincount(span_index, minlength=page_ids.shape[0])
+    span_index = index.inverse[boundary:limit]
+    npages = index.pages.shape[0]
+    page_counts = np.bincount(span_index, minlength=npages)
     page_write_counts = np.bincount(
         span_index,
         weights=writes[boundary:limit].astype(np.float64),
-        minlength=page_ids.shape[0],
+        minlength=npages,
     ).astype(np.int64)
-    warmup_distinct = (
-        int(np.unique(pages[:boundary]).shape[0]) if boundary else 0
-    )
     return WorkloadProfile(
         name=name or trace.name,
         requests=measured,
@@ -134,14 +150,13 @@ def profile_trace(
         sampled=sampled,
         weight=(measured / sampled) if sampled else 1.0,
         distances=distances,
-        write_distances=write_distances,
         is_write=writes[:limit],
-        page_index=inverse,
-        page_ids=page_ids,
+        index=index,
         page_counts=page_counts.astype(np.int64),
         page_write_counts=page_write_counts,
-        warmup_distinct=warmup_distinct,
-        footprint=int(np.unique(pages).shape[0]) if total else 0,
+        # A warm-up page's first touch is its one cold access there.
+        warmup_distinct=int(np.count_nonzero(distances[:boundary] < 0)),
+        footprint=trace.unique_pages,
     )
 
 

@@ -198,36 +198,39 @@ def scale_accounting(
 class _Membership:
     """Per-unique-page sampling machinery, computed once per spec.
 
-    One ``np.unique(return_inverse=True)`` pass gives the sorted page
-    population, per-page request counts and the page index of every
-    request; membership and replicate-group decisions then run over
+    The trace's cached :class:`~repro.trace.trace.PageIndex` gives the
+    sorted page population, per-page request counts and the page index
+    of every request, so a sweep over one rendered trace sorts it at
+    most once; membership and replicate-group decisions then run over
     the (small) unique-page array and broadcast back through the
     inverse, so redrawing at an escalated rate costs O(pages), not
     another O(requests log requests) pass.  The ``temporal`` scheme
-    decides per *request* and keeps the slower request-level path.
+    decides per *request* and keeps the slower request-level path; it
+    counts a draw's distinct pages through the same inverse.
     """
 
     def __init__(self, trace: Trace, scheme: str, salt: int) -> None:
         self.trace = trace
         self.scheme = scheme
         self.salt = salt
-        if scheme == "temporal":
-            self.pages = np.unique(trace.pages)
-            self.counts = self.inverse = None
-        else:
-            self.pages, self.inverse, self.counts = np.unique(
-                trace.pages, return_inverse=True, return_counts=True
-            )
+        index = trace.page_index()
+        self.pages, self.inverse, self.counts = (
+            index.pages, index.inverse, index.counts)
 
     @property
     def total_pages(self) -> int:
         return int(self.pages.size)
 
+    def _distinct(self, mask: np.ndarray) -> int:
+        """Distinct pages among the masked requests."""
+        present = np.bincount(self.inverse[mask], minlength=self.pages.size)
+        return int(np.count_nonzero(present))
+
     def draw(self, rate: int) -> tuple[np.ndarray, int]:
         """Request mask and distinct-page count of a 1-in-``rate`` draw."""
         if self.scheme == "temporal":
             mask = sample_mask(self.trace, rate, self.scheme, self.salt)
-            return mask, int(np.unique(self.trace.pages[mask]).size)
+            return mask, self._distinct(mask)
         member = page_membership(
             self.pages, self.counts, rate, self.scheme, self.salt
         )
@@ -242,12 +245,11 @@ class _Membership:
             ids = assign_groups(
                 self.trace, groups, self.scheme, self.salt, rate=rate
             )
-            unique = np.unique
-            pages = self.trace.pages
+            distinct = self._distinct
             draws = []
             for group in range(groups):
                 sub = mask & (ids == group)
-                draws.append((sub, int(unique(pages[sub]).size)))
+                draws.append((sub, distinct(sub)))
             return draws
         member = page_membership(
             self.pages, self.counts, rate, self.scheme, self.salt

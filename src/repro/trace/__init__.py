@@ -7,7 +7,7 @@ from repro.trace.record import (
     CPUAccess,
     MemoryAccess,
 )
-from repro.trace.trace import CPUTrace, Trace, interleave
+from repro.trace.trace import CPUTrace, PageIndex, Trace, interleave
 from repro.trace.io import (
     load_cpu_trace,
     load_trace,
@@ -46,6 +46,7 @@ __all__ = [
     "MemoryAccess",
     "MissRatioCurve",
     "NpzTraceSource",
+    "PageIndex",
     "SourceSpec",
     "TextTraceSource",
     "Trace",

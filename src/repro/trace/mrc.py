@@ -10,8 +10,10 @@ below C.
 
 Used by the capacity ablation and available as library tooling for
 sizing studies on user traces.  The distance kernel underneath,
-:func:`recency_distances`, also builds the analytic engine's workload
-profiles (:mod:`repro.model.profile`).
+:func:`index_distances`, also builds the analytic engine's workload
+profiles (:mod:`repro.model.profile`); it reads the trace's cached
+:class:`~repro.trace.trace.PageIndex`, so neither consumer sorts the
+trace again.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.trace.trace import Trace
+from repro.trace.trace import PageIndex, Trace
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,18 @@ def recency_distances(
     stack distance; with ``marked`` = the write mask it is the page's
     position in the most-recently-written ordering.
 
-    No per-access Python: one stable argsort by page gives each
+    Sorts ``pages`` once (:meth:`PageIndex.of`); a caller that already
+    holds the index calls :func:`index_distances` and skips the sort.
+    """
+    return index_distances(PageIndex.of(np.asarray(pages)), marked)
+
+
+def index_distances(
+    index: PageIndex, marked: np.ndarray | None = None
+) -> np.ndarray:
+    """:func:`recency_distances` of the pages ``index`` was built from.
+
+    No per-access Python: the index's stable order gives each
     access's previous mark ``w``.  Every page marked in ``(w, i)`` is
     counted once, at its first marked access ``j`` there, which is
     exactly a marked ``j < i`` whose own previous mark is before
@@ -148,24 +161,18 @@ def recency_distances(
     subtracted.  The count is one offline dominance query
     (:func:`_count_below`).
     """
-    pages = np.asarray(pages)
-    size = pages.shape[0]
+    size = index.size
     if size == 0:
         return np.empty(0, dtype=np.int64)
     marked = (np.ones(size, dtype=bool) if marked is None
               else np.asarray(marked, dtype=bool))
-    order = np.argsort(pages, kind="stable")
-    ordered = pages[order]
-    starts = np.empty(size, dtype=bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    # Intermediates are dropped as soon as they are used: this build's
-    # peak memory sets a profiled sweep's peak.
-    del ordered
+    order = index.order
     # Stamp each marked access with its position + 1 on top of a
     # per-page base, so a running maximum over the page-sorted order
     # yields the latest mark so far and never leaks across pages.
-    base = np.cumsum(starts, dtype=np.int64)
+    # Intermediates are dropped as soon as they are used: this build's
+    # peak memory sets a profiled sweep's peak.
+    base = np.cumsum(index.starts, dtype=np.int64)
     base -= 1
     base *= size + 1
     latest = order + 1
@@ -179,7 +186,7 @@ def recency_distances(
     # since[i] = previous mark of i's page + 1, 0 if there is none.
     since = np.empty(size, dtype=np.int64)
     since[order] = base
-    del base, order
+    del base
     marks_before = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(marked, out=marks_before[1:])
     counts = _count_below(since[marked], marks_before[:-1], since)
@@ -193,10 +200,11 @@ def stack_distances(trace: Trace, sample_cap: int | None = None) -> np.ndarray:
     """LRU stack distance per access; -1 marks first touches.
 
     ``sample_cap`` restricts the result to the trace's first
-    ``sample_cap`` accesses.
+    ``sample_cap`` accesses; the prefix's index is derived from the
+    trace's cached one without sorting again.
     """
-    pages = np.asarray(trace.pages)
-    return recency_distances(pages[:sample_cap])
+    stop = trace.pages[:sample_cap].shape[0]
+    return index_distances(trace.page_index().head(stop))
 
 
 def miss_ratio_curve(

@@ -109,16 +109,10 @@ def frequency_ranks(counts: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def page_frequency_ranks(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """Unique pages (sorted) and their frequency rank, hottest first."""
-    pages, counts = np.unique(trace.pages, return_counts=True)
-    return pages, frequency_ranks(counts)
-
-
 def _request_ranks(trace: Trace) -> np.ndarray:
     """Per-request frequency rank of the page each request touches."""
-    pages, ranks = page_frequency_ranks(trace)
-    return ranks[np.searchsorted(pages, trace.pages)]
+    index = trace.page_index()
+    return frequency_ranks(index.counts)[index.inverse]
 
 
 def _stratified_offset(rate: int, salt: int) -> int:
@@ -164,7 +158,7 @@ def page_membership(pages: np.ndarray, counts: np.ndarray, rate: int,
 
     Equivalent to :func:`sample_mask` evaluated at the unique-page
     level: for the page-keyed schemes, ``page_membership(...)[inverse]``
-    (with ``inverse`` from ``np.unique(..., return_inverse=True)``)
+    (with ``inverse`` from :meth:`Trace.page_index`)
     reproduces the request mask exactly while hashing each page once
     instead of once per request.  The ``temporal`` scheme has no
     per-page decision and is rejected.

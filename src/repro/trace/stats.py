@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.trace.mrc import stack_distances
 from repro.trace.trace import Trace
 
 
@@ -58,38 +59,6 @@ class WorkloadStats:
         )
 
 
-def _reuse_distances(pages: np.ndarray, sample_cap: int = 200_000) -> np.ndarray:
-    """Stack (LRU) reuse distance per access; -1 for first touches.
-
-    Uses the classic "time of last access + number of distinct pages
-    since" approximation computed with a dict scan.  For very long
-    traces only the first ``sample_cap`` accesses are measured, which is
-    plenty to estimate the median.
-    """
-    limit = min(len(pages), sample_cap)
-    last_position: dict[int, int] = {}
-    stack: list[int] = []  # pages in LRU order, most recent last
-    index_of: dict[int, int] = {}
-    distances = np.empty(limit, dtype=np.int64)
-    # A simple O(n * d) stack simulation is fine at this sample size
-    # because the distance loop touches only the tail of the stack.
-    for position in range(limit):
-        page = int(pages[position])
-        if page in index_of:
-            location = index_of[page]
-            distance = len(stack) - 1 - location
-            distances[position] = distance
-            stack.pop(location)
-            for moved in range(location, len(stack)):
-                index_of[stack[moved]] = moved
-        else:
-            distances[position] = -1
-        index_of[page] = len(stack)
-        stack.append(page)
-        last_position[page] = position
-    return distances
-
-
 def _max_burst_length(pages: np.ndarray) -> int:
     """Longest run of consecutive accesses to a single page."""
     if pages.size == 0:
@@ -112,8 +81,8 @@ def characterize(
     trace:
         The memory trace to summarise.
     reuse_sample_cap:
-        Maximum number of accesses fed to the (quadratic-ish) reuse
-        distance estimator.
+        Maximum number of accesses whose LRU reuse distance
+        (:func:`~repro.trace.mrc.stack_distances`) feeds the median.
     """
     pages = np.asarray(trace.pages)
     total = len(trace)
@@ -132,14 +101,14 @@ def characterize(
             max_burst_length=0,
         )
 
-    unique, counts = np.unique(pages, return_counts=True)
-    unique_pages = int(unique.shape[0])
+    counts = trace.page_index().counts
+    unique_pages = int(counts.shape[0])
     counts_sorted = np.sort(counts)[::-1]
     top_count = max(1, unique_pages // 10)
     top_decile_share = float(counts_sorted[:top_count].sum() / total)
     cold_page_fraction = float((counts == 1).sum() / unique_pages)
 
-    distances = _reuse_distances(pages, sample_cap=reuse_sample_cap)
+    distances = stack_distances(trace, sample_cap=reuse_sample_cap)
     reuses = distances[distances >= 0]
     median_reuse = float(np.median(reuses)) if reuses.size else float("inf")
 
@@ -161,8 +130,7 @@ def characterize(
 
 def page_popularity(trace: Trace) -> np.ndarray:
     """Access count per distinct page, descending (popularity curve)."""
-    _, counts = np.unique(np.asarray(trace.pages), return_counts=True)
-    return np.sort(counts)[::-1]
+    return np.sort(trace.page_index().counts)[::-1]
 
 
 def write_popularity(trace: Trace) -> np.ndarray:

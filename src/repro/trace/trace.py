@@ -4,7 +4,11 @@ A :class:`Trace` is an immutable, named sequence of page-granularity
 memory requests.  Internally it stores parallel numpy arrays (page
 numbers and write flags) so that multi-hundred-thousand-request traces
 stay compact and fast to iterate; externally it behaves like a sequence
-of :class:`~repro.trace.record.MemoryAccess`.
+of :class:`~repro.trace.record.MemoryAccess`.  Every consumer that needs
+the trace's pages in sorted order (the analytic profile, the sampled
+engine's page population, the miss-ratio curves, the summary
+statistics) reads one lazily built :class:`PageIndex`: each trace is
+sorted at most once.
 
 A :class:`CPUTrace` is the byte-addressed, per-core equivalent consumed
 by the cache-hierarchy filter in :mod:`repro.cpu`.
@@ -12,6 +16,7 @@ by the cache-hierarchy filter in :mod:`repro.cpu`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -22,6 +27,76 @@ from repro.trace.record import (
     CPUAccess,
     MemoryAccess,
 )
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class PageIndex:
+    """A page array sorted once: everything a stable sort by page gives.
+
+    ``order`` is the stable argsort of the pages (requests of one page
+    stay in request order), ``pages`` the sorted distinct page ids,
+    ``inverse`` each request's position in ``pages`` and ``counts`` the
+    requests per distinct page — the arrays of ``np.unique(...,
+    return_inverse=True, return_counts=True)`` plus the order they
+    come from.  All four are read-only.
+    """
+
+    order: np.ndarray
+    pages: np.ndarray
+    inverse: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, pages: np.ndarray) -> "PageIndex":
+        """Index a one-dimensional page array (one argsort)."""
+        order = np.argsort(pages, kind="stable")
+        ordered = pages[order]
+        firsts, inverse, counts = _runs(order, ordered)
+        return cls(_frozen(order), _frozen(ordered[firsts]), inverse, counts)
+
+    @property
+    def size(self) -> int:
+        """Number of requests indexed."""
+        return int(self.order.shape[0])
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Mask over ``order`` positions where a page's run begins."""
+        starts = np.zeros(self.size, dtype=bool)
+        starts[np.cumsum(self.counts) - self.counts] = True
+        return starts
+
+    def head(self, stop: int) -> "PageIndex":
+        """The index of the first ``stop`` requests, derived without
+        sorting again: dropping later requests from a stable order
+        leaves the stable order of the prefix."""
+        if stop >= self.size:
+            return self
+        order = self.order[self.order < stop]
+        runs = self.inverse[order]
+        firsts, inverse, counts = _runs(order, runs)
+        return PageIndex(_frozen(order), _frozen(self.pages[runs[firsts]]),
+                         inverse, counts)
+
+
+def _runs(
+    order: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run starts, read-only inverse and counts of ``keys`` (sorted,
+    ``keys[k]`` belonging to request ``order[k]``)."""
+    size = order.shape[0]
+    starts = np.empty(size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    firsts = np.flatnonzero(starts)
+    inverse = np.empty(size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return firsts, _frozen(inverse), _frozen(np.diff(firsts, append=size))
 
 
 class Trace:
@@ -39,7 +114,7 @@ class Trace:
         Page size in bytes the page numbers refer to.
     """
 
-    __slots__ = ("_pages", "_is_write", "name", "page_size")
+    __slots__ = ("_pages", "_is_write", "name", "page_size", "_index")
 
     def __init__(
         self,
@@ -65,6 +140,7 @@ class Trace:
         self._is_write = write_arr
         self.name = name
         self.page_size = page_size
+        self._index: PageIndex | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -237,11 +313,16 @@ class Trace:
     def write_count(self) -> int:
         return int(self._is_write.sum())
 
+    def page_index(self) -> PageIndex:
+        """The trace's :class:`PageIndex`, built on first use and
+        cached (the trace is immutable, so it cannot go stale)."""
+        if self._index is None:
+            self._index = PageIndex.of(self._pages)
+        return self._index
+
     @property
     def unique_pages(self) -> int:
-        if not len(self):
-            return 0
-        return int(np.unique(self._pages).shape[0])
+        return int(self.page_index().pages.shape[0])
 
     @property
     def footprint_bytes(self) -> int:
@@ -256,8 +337,10 @@ class Trace:
     # Transformations
     # ------------------------------------------------------------------
     def renamed(self, name: str) -> "Trace":
-        return Trace(self._pages, self._is_write, name=name,
-                     page_size=self.page_size)
+        trace = Trace(self._pages, self._is_write, name=name,
+                      page_size=self.page_size)
+        trace._index = self._index  # same arrays, same index
+        return trace
 
     def concat(self, other: "Trace") -> "Trace":
         if other.page_size != self.page_size:

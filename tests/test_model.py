@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.executor import ParallelExecutor, ResultCache
 from repro.experiments.runspec import ENGINES, RunSpec
+from repro.memory.specs import HybridMemorySpec
 from repro.mmu.simulator import RunResult
 from repro.model import (
     ANALYTIC_POLICIES,
@@ -29,8 +30,8 @@ from repro.model import (
 )
 from repro.model.estimator import _fill_residency
 from repro.model.markov import occupancy, promotion_steps
-from repro.trace.mrc import stack_distances
-from repro.trace.trace import Trace
+from repro.trace.mrc import recency_distances, stack_distances
+from repro.trace.trace import PageIndex, Trace
 from repro.workloads.parsec import parsec_workload
 
 SCALE = 0.0005  # fast grid scale shared with the validation suite
@@ -251,6 +252,51 @@ class TestProfile:
                                    sort_keys=True, separators=(",", ":"))
             assert _sha256(canonical.encode()) == digest
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=_profiled_traces(),
+           warmup=st.sampled_from([0.0, 0.25, 0.5, 0.9]))
+    def test_index_derived_fields_match_unique(self, case, warmup):
+        pages, writes, cap = case
+        trace = _trace(pages, writes)
+        profile = profile_trace(trace, warmup_fraction=warmup,
+                                sample_cap=cap)
+        pages = np.asarray(pages, dtype=np.int64)
+        limit = profile.boundary + profile.sampled
+        assert profile.warmup_distinct == \
+            np.unique(pages[:profile.boundary]).shape[0]
+        assert profile.footprint == np.unique(pages).shape[0]
+        page_ids, inverse = np.unique(pages[:limit], return_inverse=True)
+        assert np.array_equal(profile.page_ids, page_ids)
+        assert np.array_equal(profile.page_index, inverse)
+        assert "write_distances" not in vars(profile)  # not built yet
+        first = profile.write_distances
+        assert profile.write_distances is first  # built once, cached
+        assert np.array_equal(
+            first, recency_distances(pages[:limit], writes[:limit]))
+
+    def test_only_clock_dwf_reads_write_distances(self, zipf_trace):
+        machine = HybridMemorySpec.for_footprint(zipf_trace.unique_pages)
+        profile = profile_trace(zipf_trace, warmup_fraction=0.2)
+        for policy in ("proposed", "dram-only", "nvm-only"):
+            estimate_run(profile, machine, policy=policy)
+        assert "write_distances" not in vars(profile)
+        estimate_run(profile, machine, policy="clock-dwf")
+        assert "write_distances" in vars(profile)
+
+    def test_profile_sorts_the_trace_once(self, zipf_trace, monkeypatch):
+        sorts = []
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            sorts.append(args[0].shape)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        profile_trace(zipf_trace, warmup_fraction=0.3, sample_cap=2000)
+        assert sorts == [(len(zipf_trace),)]
+        profile_trace(zipf_trace, warmup_fraction=0.5)
+        assert sorts == [(len(zipf_trace),)]  # the cached index is reused
+
     def test_write_distance_tracks_written_ordering(self):
         # Pages 0,1,2 written in order, then page 0 read: two distinct
         # pages (1, 2) written since 0's last write.
@@ -289,7 +335,7 @@ class TestFillResidency:
         trace = _trace(pages)
         profile = profile_trace(trace)
         fault = (profile.distances < 0) | (profile.distances >= 1 << 30)
-        return profile.page_index, fault, profile.distances, frames
+        return profile.index, fault, profile.distances, frames
 
     def test_rehit_page_stays_resident(self):
         # Page 0 re-accessed every other slot: one distinct intervener
@@ -318,7 +364,7 @@ class TestFillResidency:
         profile = profile_trace(trace)
         fault = (profile.distances < 0) | (profile.distances >= 4)
         resident = _fill_residency(
-            profile.page_index, fault, profile.distances, 2
+            profile.index, fault, profile.distances, 2
         )
         assert fault[5]  # the return access itself faults back in
         assert resident[6]  # and the follow-up hit is DRAM-resident
@@ -342,7 +388,7 @@ class TestFillResidency:
         ]
         empty = np.array([], dtype=np.int64)
         assert _fill_residency(
-            empty, empty.astype(bool), empty, 4
+            PageIndex.of(empty), empty.astype(bool), empty, 4
         ).shape == (0,)
 
 

@@ -31,6 +31,7 @@ from repro.experiments.runspec import RunSpec
 from repro.memory.specs import HybridMemorySpec
 from repro.policies.registry import available_policies
 from repro.sampling import MetricInterval, SamplingConfig, SamplingSummary
+from repro.sampling.engine import _Membership
 from repro.trace.sampling import (
     SAMPLING_SCHEMES,
     page_membership,
@@ -218,6 +219,31 @@ def test_page_membership_rejects_temporal(zipf_instance):
     pages, counts = np.unique(trace.pages, return_counts=True)
     with pytest.raises(ValueError):
         page_membership(pages, counts, 4, "temporal", salt=0)
+
+
+@pytest.mark.parametrize("scheme", SAMPLING_SCHEMES)
+def test_membership_reads_the_trace_index(zipf_instance, scheme,
+                                          monkeypatch):
+    trace = zipf_instance.trace
+    trace.page_index()
+    sorted_sizes = []
+
+    def recording(function):
+        def wrapped(array, *args, **kwargs):
+            sorted_sizes.append(np.shape(array))
+            return function(array, *args, **kwargs)
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "argsort", recording(np.argsort))
+        patch.setattr(np, "unique", recording(np.unique))
+        membership = _Membership(trace, scheme, salt=3)
+        draws = [membership.draw(rate) for rate in (1, 4)]
+        draws += membership.replicate_draws(4, 3)
+    assert (len(trace),) not in sorted_sizes
+    assert membership.total_pages == np.unique(trace.pages).size
+    for mask, distinct in draws:
+        assert distinct == np.unique(trace.pages[mask]).size
 
 
 # ----------------------------------------------------------------------

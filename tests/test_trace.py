@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.trace.record import ACCESS_SIZE, PAGE_SIZE, AccessKind, CPUAccess, MemoryAccess
-from repro.trace.trace import CPUTrace, Trace, interleave
+from repro.trace.trace import CPUTrace, PageIndex, Trace, interleave
 
 
 class TestAccessKind:
@@ -182,3 +182,80 @@ def test_trace_roundtrip_properties(pages, seed):
     if len(trace) >= 2:
         mid = len(trace) // 2
         assert trace[:mid].concat(trace[mid:]) == trace
+
+
+# ---------------------------------------------------------------------------
+# The cached page index
+# ---------------------------------------------------------------------------
+@st.composite
+def _page_arrays(draw):
+    """Page arrays biased toward the index's edges: empty and
+    1-request traces, one hot page, sparse ids up to 2**40."""
+    size = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 80)))
+    ids = draw(st.one_of(
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=1),
+        st.lists(st.integers(0, 12), min_size=1, max_size=8, unique=True),
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=8,
+                 unique=True),
+    ))
+    pages = draw(st.lists(st.sampled_from(ids), min_size=size,
+                          max_size=size))
+    return np.asarray(pages, dtype=np.int64)
+
+
+def _assert_index_of(index: PageIndex, pages: np.ndarray) -> None:
+    unique, inverse, counts = np.unique(
+        pages, return_inverse=True, return_counts=True)
+    assert np.array_equal(index.order, np.argsort(pages, kind="stable"))
+    assert np.array_equal(index.pages, unique)
+    assert np.array_equal(index.inverse, inverse)
+    assert np.array_equal(index.counts, counts)
+    assert index.pages.dtype == unique.dtype
+    assert index.inverse.dtype == inverse.dtype
+    assert index.counts.dtype == counts.dtype
+    assert index.size == pages.shape[0]
+    ordered = pages[index.order]
+    expected_starts = np.ones(pages.shape[0], dtype=bool)
+    expected_starts[1:] = ordered[1:] != ordered[:-1]
+    assert np.array_equal(index.starts, expected_starts)
+
+
+class TestPageIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(pages=_page_arrays(), cut=st.integers(0, 90))
+    def test_matches_unique_and_stable_argsort(self, pages, cut):
+        trace = Trace(pages, np.zeros(pages.shape[0], dtype=bool))
+        index = trace.page_index()
+        _assert_index_of(index, pages)
+        assert trace.unique_pages == np.unique(pages).shape[0]
+        # A prefix's index is derived from the whole trace's one.
+        _assert_index_of(index.head(cut), pages[:cut])
+
+    def test_built_once_and_read_only(self, tiny_trace):
+        index = tiny_trace.page_index()
+        assert tiny_trace.page_index() is index
+        for array in (index.order, index.pages, index.inverse,
+                      index.counts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:1] = 0
+
+    def test_head_past_the_end_is_the_index(self, tiny_trace):
+        index = tiny_trace.page_index()
+        assert index.head(len(tiny_trace)) is index
+        assert index.head(len(tiny_trace) + 5) is index
+
+    def test_derived_traces_get_their_own_index(self, tiny_trace):
+        tiny_trace.page_index()  # a cached parent index must not leak
+        other = Trace([7, 0, 7], [True, False, False])
+        joined = Trace.from_chunks(
+            [tiny_trace[5:], tiny_trace[:3], tiny_trace[3:5]])
+        for derived in (tiny_trace[2:6], tiny_trace[::2],
+                        tiny_trace.concat(other),
+                        Trace.from_chunks(tiny_trace.chunks(3)), joined,
+                        tiny_trace.renamed("again")):
+            _assert_index_of(derived.page_index(), np.asarray(derived.pages))
+
+    def test_renamed_shares_the_built_index(self, tiny_trace):
+        index = tiny_trace.page_index()
+        assert tiny_trace.renamed("again").page_index() is index
