@@ -27,6 +27,10 @@ endpoint    method  behaviour
 Streaming uses HTTP/1.0 connection-close delimiting — no chunked
 transfer encoding to hand-roll, and every stdlib/curl client handles
 it.
+
+Non-streamed ``/run`` and ``/batch`` write the service's stored answer
+bytes as they are.  Malformed requests get a 400 with a JSON error; a
+body over :data:`MAX_BODY_BYTES` gets a 413 before it is read.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ from typing import Any
 from urllib.parse import parse_qs, urlparse
 
 from repro.serve.service import ReproService, ServiceError
+
+#: Largest request body (``/traces`` uploads included) the server reads.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class ReproServer(ThreadingHTTPServer):
@@ -67,7 +74,9 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # quiet by default; /stats carries the counters
 
     def _send_json(self, payload: Any, status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send_body(json.dumps(payload).encode("utf-8"), status)
+
+    def _send_body(self, body: bytes, status: int = 200) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -78,7 +87,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json({"error": message}, status=status)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw) if raw.isascii() and raw.isdigit() else -1
+        except ValueError:  # more digits than int() parses: over the cap
+            length = MAX_BODY_BYTES + 1
+        if length < 0:
+            raise ServiceError(
+                f"Content-Length must be a non-negative integer, got {raw!r}")
+        if length > MAX_BODY_BYTES:
+            raise ServiceError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit", status=413)
         return self.rfile.read(length) if length else b""
 
     def _read_json(self) -> Any:
@@ -113,29 +133,30 @@ class _Handler(BaseHTTPRequestHandler):
         service = self.server.service
         try:
             if url.path == "/run":
-                stream = query.get("stream", ["0"])[0] not in ("", "0")
-                spec, result = service.run(self._read_json(), stream=stream)
-                if stream:
-                    self._stream_run(spec, result)
+                payload = self._read_json()
+                if query.get("stream", ["0"])[0] not in ("", "0"):
+                    self._stream_run(*service.run(payload, stream=True))
                 else:
-                    self._send_json({
-                        "digest": spec.digest(),
-                        "label": spec.label(),
-                        "result": result.to_dict(),
-                    })
+                    spec = service.spec_from_payload(payload)
+                    self._send_body(service.answers([spec])[0].body)
             elif url.path == "/batch":
                 payload = self._read_json()
-                specs = [service.spec_from_payload(item)
-                         for item in payload.get("specs", ())]
-                results = service.run_specs(specs)
-                self._send_json({"results": [
-                    {"digest": spec.digest(), "label": spec.label(),
-                     "result": result.to_dict()}
-                    for spec, result in zip(specs, results)
-                ]})
+                items = (payload.get("specs", [])
+                         if isinstance(payload, dict) else None)
+                if not isinstance(items, list):
+                    raise ServiceError(
+                        'batch body must be {"specs": [payload, ...]}')
+                specs = [service.spec_from_payload(item) for item in items]
+                # The bytes json.dumps gives for {"results": [...]}.
+                self._send_body(b'{"results": [' + b", ".join(
+                    answer.body for answer in service.answers(specs)) + b"]}")
             elif url.path == "/traces":
                 name = query.get("name", [None])[0]
-                text = self._read_body().decode("utf-8")
+                try:
+                    text = self._read_body().decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ServiceError(
+                        f"trace upload is not UTF-8 text: {exc}") from exc
                 source = service.ingest(io.StringIO(text), name=name)
                 self._send_json({"source": source.to_dict()})
             elif url.path == "/shutdown":
@@ -147,7 +168,7 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_error_json(404, f"unknown path {url.path!r}")
         except ServiceError as exc:
-            self._send_error_json(400, str(exc))
+            self._send_error_json(exc.status, str(exc))
         except Exception as exc:  # a failed run is a 500, not a crash
             self._send_error_json(500, f"{type(exc).__name__}: {exc}")
 

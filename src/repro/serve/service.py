@@ -15,10 +15,11 @@ Everything here is transport-agnostic — the HTTP layer
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from repro.experiments.executor import (
     DEFAULT_CACHE_DIR,
@@ -35,7 +36,11 @@ from repro.workloads.parsec import WORKLOAD_NAMES
 
 
 class ServiceError(ValueError):
-    """A malformed or unsatisfiable request (HTTP 400, not a crash)."""
+    """A malformed or unsatisfiable request: HTTP ``status``, not a crash."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 #: RunSpec fields a payload may set directly (everything identity).
@@ -44,6 +49,49 @@ _SPEC_FIELDS = frozenset((
     "policy_overrides", "spec_transform", "warmup_fraction", "events",
     "engine", "sampling", "source",
 ))
+
+#: Byte budget of the fast lane's stored bodies (oldest evicted first);
+#: each entry's ``RunResult`` object takes about twice its body again.
+FAST_LANE_BYTES = 16 * 1024 * 1024
+
+
+class Answer(NamedTuple):
+    """One spec's answer: the encoded ``/run`` response body and the
+    result it encodes (shared between callers: treat it as read-only)."""
+
+    body: bytes
+    result: RunResult
+
+
+class FastLane:
+    """Answers by spec digest.  Readers do one lock-free ``dict.get``;
+    inserts, evictions and the hit count take the lane's own lock.  The
+    digest is a safe key: label and result depend only on fields it
+    covers."""
+
+    def __init__(self) -> None:
+        self.entries: dict[str, Answer] = {}
+        self.bytes = 0
+        self.hits = 0
+        self._lock = threading.Lock()
+
+    def put(self, digest: str, answer: Answer) -> None:
+        size = len(answer.body)
+        if size > FAST_LANE_BYTES:
+            return
+        with self._lock:
+            if digest in self.entries:
+                return
+            while self.bytes + size > FAST_LANE_BYTES:
+                # Dicts keep insertion order: the first key is oldest.
+                oldest = self.entries.pop(next(iter(self.entries)))
+                self.bytes -= len(oldest.body)
+            self.entries[digest] = answer
+            self.bytes += size
+
+    def count_hits(self, hits: int) -> None:
+        with self._lock:
+            self.hits += hits
 
 
 class ReproService:
@@ -71,6 +119,12 @@ class ReproService:
         When set (the shared ``--events PATH`` flag), every
         event-bearing result is also persisted there as
         ``{workload}-{policy}-{digest}.jsonl``.
+
+    :meth:`answers` serves repeated queries from the :class:`FastLane`
+    without the service lock, so a hit never waits behind a cold run;
+    misses go to the executor under the lock (disk cache or simulate)
+    and are then stored.  The lane is off without a result cache and,
+    under ``events_dir``, for event-bearing specs.
     """
 
     def __init__(
@@ -100,6 +154,7 @@ class ReproService:
         #: reference an uploaded trace as ``{"source": "<digest>"}``.
         self.sources: dict[str, SourceSpec] = {}
         self._lock = threading.Lock()
+        self.fast_lane = FastLane()
         # Operational uptime, not simulation state: never feeds a run.
         self._started = time.time()  # noqa: R002
         self._runs = 0
@@ -162,33 +217,67 @@ class ReproService:
     # ------------------------------------------------------------------
     def run(self, payload: Mapping[str, Any],
             stream: bool = False) -> tuple[RunSpec, RunResult]:
-        """Execute one spec (through the executor, so cache-first).
+        """Execute one spec: fast lane first, then the executor.
 
-        ``stream=True`` forces event collection
+        ``stream=True`` bypasses the fast lane and forces event collection
         (``EventConfig(trace=True)``) so the caller has a JSONL event
         stream to forward — only meaningful for the simulate engine
         (the fast engines carry no event stream, which ``RunSpec``
         itself enforces).
         """
         spec = self.spec_from_payload(payload)
-        if stream and spec.events is None:
+        if not stream:
+            return spec, self.answers([spec])[0].result
+        if spec.events is None:
             if spec.engine != "simulate":
                 raise ServiceError(
                     f"engine={spec.engine!r} produces no event stream; "
                     "drop ?stream or use engine=\"simulate\"")
             spec = RunSpec.from_dict(
                 {**spec.to_dict(), "events": {"trace": True}})
-        results = self.run_specs([spec])
-        result = results[0]
-        if self.events_dir is not None and result.events is not None:
-            self._persist_events(spec, result)
+        result = self.run_specs([spec])[0]
+        self._persist_events(spec, result)
         return spec, result
+
+    def answers(self, specs: list[RunSpec]) -> list[Answer]:
+        """Answer each spec in order: fast-lane hits, then one executor
+        submit for the misses, whose bodies (the bytes of ``json.dumps(
+        {"digest", "label", "result": result.to_dict()})``) are stored."""
+        digests = [spec.digest() for spec in specs]
+        found: dict[int, Answer] = {}
+        for i, (spec, digest) in enumerate(zip(specs, digests)):
+            answer = (self.fast_lane.entries.get(digest)
+                      if self._in_lane(spec) else None)
+            if answer is not None:
+                found[i] = answer
+        if found:
+            self.fast_lane.count_hits(len(found))
+        missing = [i for i in range(len(specs)) if i not in found]
+        if missing:
+            results = self.run_specs([specs[i] for i in missing])
+            for i, result in zip(missing, results):
+                spec = specs[i]
+                body = json.dumps({"digest": digests[i],
+                                   "label": spec.label(),
+                                   "result": result.to_dict()})
+                answer = found[i] = Answer(body.encode("utf-8"), result)
+                self._persist_events(spec, result)
+                if self._in_lane(spec):
+                    self.fast_lane.put(digests[i], answer)
+        return [found[i] for i in range(len(specs))]
+
+    def _in_lane(self, spec: RunSpec) -> bool:
+        # Without a result cache every run recomputes; under events_dir
+        # every event-bearing run persists.
+        return self.executor.cache is not None and (
+            self.events_dir is None or spec.events is None)
 
     def _persist_events(self, spec: RunSpec, result: RunResult) -> None:
         events = result.events
-        assert events is not None
-        self.events_dir.mkdir(parents=True, exist_ok=True)  # type: ignore[union-attr]
-        target = (self.events_dir  # type: ignore[operator]
+        if self.events_dir is None or events is None:
+            return
+        self.events_dir.mkdir(parents=True, exist_ok=True)
+        target = (self.events_dir
                   / f"{spec.workload}-{spec.policy}-{spec.digest()}.jsonl")
         target.write_text(
             "".join(f"{line}\n" for line in events.trace_lines),
@@ -199,8 +288,10 @@ class ReproService:
         """Batch entry: one executor submit under the service lock.
 
         The executor's merge bookkeeping is not thread-safe, so
-        concurrent HTTP handlers serialise here; the pool still fans
-        each batch out over all workers.
+        concurrent misses serialise here; the pool still fans each
+        batch out over all workers.  Holding the lock across the submit
+        also means a second identical cold request finds the first
+        one's result in the disk cache instead of simulating again.
         """
         with self._lock:
             self._runs += len(specs)
@@ -241,12 +332,16 @@ class ReproService:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
+        lane = self.fast_lane
         with self._lock:
             executor = self.executor.stats.as_dict()
+            hits = lane.hits  # runs and cache hits the executor never saw
+            for key in ("submitted", "cache_hits"):
+                executor[key] += hits
             return {
                 "uptime_seconds": round(
                     time.time() - self._started, 3),  # noqa: R002
-                "runs": self._runs,
+                "runs": self._runs + hits,
                 "ingests": self._ingests,
                 "sources": sorted(self.sources),
                 "jobs": self.executor.jobs,
@@ -255,6 +350,8 @@ class ReproService:
                     if self.executor.cache is not None else None
                 ),
                 "executor": executor,
+                "fast_lane": {"hits": hits, "entries": len(lane.entries),
+                              "bytes": lane.bytes},
             }
 
     def catalog(self) -> dict[str, list[str]]:

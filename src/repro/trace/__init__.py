@@ -10,9 +10,7 @@ from repro.trace.record import (
 from repro.trace.trace import CPUTrace, PageIndex, Trace, interleave
 from repro.trace.io import (
     load_cpu_trace,
-    load_trace,
     read_text_cpu_trace,
-    read_text_trace,
     save_cpu_trace,
     save_trace,
     write_text_cpu_trace,
@@ -60,11 +58,9 @@ __all__ = [
     "characterize",
     "interleave",
     "load_cpu_trace",
-    "load_trace",
     "miss_ratio_curve",
     "page_popularity",
     "read_text_cpu_trace",
-    "read_text_trace",
     "save_cpu_trace",
     "save_trace",
     "stack_distances",

@@ -10,39 +10,21 @@ Two formats:
 
 Both formats round-trip :class:`~repro.trace.trace.Trace` and
 :class:`~repro.trace.trace.CPUTrace` losslessly (including workload name
-and page size).
+and page size).  Page traces are read back through
+:func:`repro.trace.source.open_trace_source`, which streams either
+format in chunks (``materialize`` joins them into one ``Trace``).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
-from repro.trace.record import PAGE_SIZE, AccessKind
+from repro.trace.record import AccessKind
+from repro.trace.source import _parse_int
 from repro.trace.trace import CPUTrace, Trace
-
-
-def _parse_int(token: str) -> int:
-    """Parse a decimal or ``0x``-prefixed hexadecimal integer."""
-    token = token.strip()
-    if token.lower().startswith("0x"):
-        return int(token, 16)
-    return int(token)
-
-
-def _whole_trace_deprecated(old: str) -> None:
-    warnings.warn(
-        f"{old} renders the whole trace in memory; use "
-        "repro.trace.source.open_trace_source(path) for chunked/"
-        "streaming replay (materialize(source) reproduces the old "
-        "behaviour)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -56,45 +38,6 @@ def write_text_trace(trace: Trace, path: str | os.PathLike[str]) -> None:
         handle.write(f"# page_size: {trace.page_size}\n")
         for page, is_write in trace.iter_pairs():
             handle.write(f"{'W' if is_write else 'R'} {page}\n")
-
-
-def read_text_trace(path: str | os.PathLike[str]) -> Trace:
-    """Read a page trace from the text format.
-
-    .. deprecated::
-        Whole-trace entry point; prefer
-        :func:`repro.trace.source.open_trace_source`, which streams the
-        file in fixed-size chunks at constant memory.
-    """
-    _whole_trace_deprecated("read_text_trace")
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        return parse_text_trace(handle, default_name=path.stem)
-
-
-def parse_text_trace(handle: TextIO, default_name: str = "trace") -> Trace:
-    """Parse the text trace format from an open file object."""
-    from repro.trace.source import parse_trace_line
-
-    name = default_name
-    page_size = PAGE_SIZE
-    pages: list[int] = []
-    writes: list[bool] = []
-    for line_number, raw_line in enumerate(handle, start=1):
-        line = raw_line.strip()
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("name:"):
-                name = body[len("name:"):].strip() or name
-            elif body.startswith("page_size:"):
-                page_size = _parse_int(body[len("page_size:"):])
-            continue
-        parsed = parse_trace_line(raw_line, line_number)
-        if parsed is None:
-            continue
-        pages.append(parsed[0])
-        writes.append(parsed[1])
-    return Trace(pages, writes, name=name, page_size=page_size)
 
 
 def write_text_cpu_trace(trace: CPUTrace, path: str | os.PathLike[str]) -> None:
@@ -150,20 +93,9 @@ def save_trace(trace: Trace, path: str | os.PathLike[str]) -> None:
     )
 
 
-def load_trace(path: str | os.PathLike[str]) -> Trace:
-    """Load a page trace from a ``.npz`` file.
-
-    .. deprecated::
-        Whole-trace entry point; prefer
-        :func:`repro.trace.source.open_trace_source`, which serves all
-        trace-file formats behind the chunked source protocol.
-    """
-    _whole_trace_deprecated("load_trace")
-    return _load_trace_arrays(path)
-
-
 def _load_trace_arrays(path: str | os.PathLike[str]) -> Trace:
-    """The ``.npz`` decode itself (shared with the source adapter)."""
+    """Decode a page trace from a ``.npz`` file (read it through
+    :func:`repro.trace.source.open_trace_source`)."""
     with np.load(Path(path), allow_pickle=False) as data:
         return Trace(
             data["pages"],

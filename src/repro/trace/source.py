@@ -265,6 +265,7 @@ class NpzTraceSource:
 
 
 def _parse_int(token: str) -> int:
+    """Parse a decimal or ``0x``-prefixed hexadecimal integer."""
     token = token.strip()
     if token.lower().startswith("0x"):
         return int(token, 16)
@@ -277,8 +278,8 @@ def parse_trace_line(
     """Parse one ``.trc`` line into ``(page, is_write)``.
 
     Returns ``None`` for blank and comment lines.  Shared by the
-    streaming reader, the legacy whole-file parser and the server's
-    trace-upload ingest, so all three accept the same format.
+    streaming reader and the server's trace-upload ingest, so both
+    accept the same format.
     """
     line = raw_line.strip()
     if not line or line.startswith("#"):

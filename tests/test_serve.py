@@ -4,18 +4,25 @@ An in-thread :class:`ReproServer` on an ephemeral port exercises the
 real HTTP stack end to end: cold runs, warm cache-hit re-queries
 (byte-identical, zero simulation), JSONL event streaming, trace upload
 feeding source-backed specs, the fast engines behind the same
-endpoint, error mapping, and clean shutdown.
+endpoint, the fast lane for repeated queries, error mapping (malformed
+requests sent as raw bytes), and clean shutdown.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments.executor import ResultCache
+from repro.mmu.simulator import RunResult
 from repro.serve import ReproServer, ReproService, ServeClient
+from repro.serve import server as server_module
+from repro.serve import service as service_module
 from repro.serve.client import ServeError
 from repro.serve.service import ServiceError
 
@@ -169,6 +176,214 @@ class TestServeHTTP:
         assert stats["runs"] > 0
         assert stats["executor"]["submitted"] >= stats["runs"]
         assert stats["uptime_seconds"] >= 0
+
+
+def _raw(port: int, request: bytes) -> tuple[int, bytes]:
+    """Send raw request bytes; return the status code and body."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
+def _post(path: str, body: bytes, length: str | None = None) -> bytes:
+    length = str(len(body)) if length is None else length
+    return (f"POST {path} HTTP/1.0\r\nContent-Length: {length}\r\n\r\n"
+            .encode("ascii") + body)
+
+
+class TestMalformedRequests:
+    """Each malformed request is a 4xx with a JSON error, never a 500."""
+
+    @pytest.mark.parametrize("length", ["-5", "twelve"])
+    def test_bad_content_length(self, endpoint, length):
+        client, _ = endpoint
+        status, body = _raw(client.port, _post("/run", b"", length=length))
+        assert status == 400
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_oversized_body_refused_unread(self, endpoint):
+        client, _ = endpoint
+        status, body = _raw(client.port, _post(
+            "/traces", b"", length=str(server_module.MAX_BODY_BYTES + 1)))
+        assert status == 413
+        assert "limit" in json.loads(body)["error"]
+
+    def test_non_utf8_upload(self, endpoint):
+        client, _ = endpoint
+        status, body = _raw(client.port, _post("/traces", b"R 1\nW \xff\n"))
+        assert status == 400
+        assert "UTF-8" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("payload", [b'{"specs": 5}', b"[1, 2]"])
+    def test_misshapen_batch(self, endpoint, payload):
+        client, _ = endpoint
+        status, body = _raw(client.port, _post("/batch", payload))
+        assert status == 400
+        assert "specs" in json.loads(body)["error"]
+
+
+def _expected_body(service: ReproService, spec) -> bytes:
+    """What the executor path encodes for ``spec`` (a warm cache read)."""
+    result = service.executor.submit([spec])[0]
+    return json.dumps({"digest": spec.digest(), "label": spec.label(),
+                       "result": result.to_dict()}).encode("utf-8")
+
+
+class TestFastLane:
+    def _payloads(self, client):
+        text = "# name: lane\n" + "".join(
+            f"{'W' if i % 4 == 0 else 'R'} {i % 30}\n" for i in range(1_000))
+        source = client.upload_trace(text, name="lane")
+        return [RUN, {**RUN, "engine": "analytic"},
+                {**RUN, "engine": "sampled"},
+                {"source": source["digest"], "policy": "proposed"}]
+
+    def test_bodies_match_executor_path(self, endpoint):
+        client, service = endpoint
+        payloads = self._payloads(client)
+        specs = [service.spec_from_payload(p) for p in payloads]
+        expected = [_expected_body(service, spec) for spec in specs]
+        for payload, want in zip(payloads, expected):
+            for _ in range(2):  # a miss or hit, then surely a hit
+                status, body = client._request(
+                    "POST", "/run", json.dumps(payload).encode("utf-8"))
+                assert status == 200
+                assert body == want
+        hits = service.fast_lane.hits
+        status, body = client._request(
+            "POST", "/batch", json.dumps({"specs": payloads}).encode())
+        assert status == 200
+        assert body == json.dumps({"results": [
+            json.loads(want) for want in expected]}).encode("utf-8")
+        assert service.fast_lane.hits == hits + len(payloads)
+
+    def test_hit_skips_lock_and_codecs_miss_waits(self, endpoint,
+                                                  monkeypatch):
+        client, service = endpoint
+        request = json.dumps({**RUN, "policy": "clock-dwf"}).encode()
+        _, warm = client._request("POST", "/run", request)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("fast-lane hit touched a slow path")
+
+        for owner, name in ((RunResult, "to_dict"), (RunResult, "from_dict"),
+                            (ResultCache, "get")):
+            monkeypatch.setattr(owner, name, boom)
+        # No response encoding (the spec digest still uses json.dumps).
+        no_dumps = SimpleNamespace(dumps=boom, loads=json.loads,
+                                   JSONDecodeError=json.JSONDecodeError)
+        for module in (server_module, service_module):
+            monkeypatch.setattr(module, "json", no_dumps)
+        replies: dict[str, tuple[int, bytes]] = {}
+
+        def ask(key: str, body: bytes) -> None:
+            replies[key] = client._request("POST", "/run", body)
+
+        with service._lock:
+            hit = threading.Thread(target=ask, args=("hit", request))
+            hit.start()
+            hit.join(timeout=30)
+            assert not hit.is_alive(), "hit waited on the service lock"
+            miss = threading.Thread(target=ask, args=(
+                "miss", b'{"workload": "dedup", "request_scale": 0.04}'))
+            miss.start()
+            miss.join(timeout=0.5)
+            assert miss.is_alive(), "miss ran without the service lock"
+            monkeypatch.undo()
+        miss.join(timeout=300)
+        assert not miss.is_alive()
+        assert replies["hit"] == (200, warm)
+        assert replies["miss"][0] == 200
+
+    def test_stats_count_lane_hits(self, endpoint):
+        client, service = endpoint
+        client.run(RUN)
+        before = client.stats()
+        client.run(RUN)
+        after = client.stats()
+        assert after["fast_lane"]["hits"] == before["fast_lane"]["hits"] + 1
+        assert after["runs"] == before["runs"] + 1
+        for key in ("submitted", "cache_hits"):
+            assert after["executor"][key] == before["executor"][key] + 1
+        assert after["executor"]["simulated"] \
+            == before["executor"]["simulated"]
+
+
+class TestFastLaneService:
+    def test_no_cache_recomputes(self, tmp_path):
+        service = ReproService(jobs=1, trace_root=tmp_path / "traces")
+        service.run(RUN)
+        service.run(RUN)
+        assert service.executor.stats.simulated == 2
+        assert not service.fast_lane.entries
+        assert service.stats()["runs"] == 2
+
+    def test_events_dir_repersists(self, tmp_path):
+        service = ReproService(jobs=1, cache=ResultCache(tmp_path / "cache"),
+                               trace_root=tmp_path / "traces",
+                               events_dir=tmp_path / "events")
+        payload = {**RUN, "events": True}
+        spec, _ = service.run(payload)
+        target = (tmp_path / "events"
+                  / f"dedup-proposed-{spec.digest()}.jsonl")
+        first = target.read_text("utf-8")
+        target.unlink()
+        service.run(payload)
+        assert target.read_text("utf-8") == first
+        assert service.executor.stats.cache_hits == 1
+        assert not service.fast_lane.entries
+        # A spec without events still takes the lane.
+        service.run(RUN)
+        assert len(service.fast_lane.entries) == 1
+
+    def test_budget_evicts_oldest(self, tmp_path, monkeypatch):
+        service = ReproService(jobs=1, cache=ResultCache(tmp_path / "cache"),
+                               trace_root=tmp_path / "traces")
+        specs = [service.spec_from_payload(
+            {**RUN, "engine": "analytic", "policy": policy})
+            for policy in ("proposed", "clock-dwf", "dram-only")]
+        sizes = [len(answer.body) for answer in service.answers(specs[:1])]
+        monkeypatch.setattr(service_module, "FAST_LANE_BYTES",
+                            2 * sizes[0] + 64)
+        service.fast_lane = service_module.FastLane()
+        for spec in specs:
+            service.answers([spec])
+        lane = service.fast_lane
+        assert list(lane.entries) == [s.digest() for s in specs[1:]]
+        assert lane.bytes == sum(len(a.body) for a in lane.entries.values())
+        assert lane.bytes <= service_module.FAST_LANE_BYTES
+
+    def test_concurrent_puts_and_hits_keep_accounts(self, monkeypatch):
+        monkeypatch.setattr(service_module, "FAST_LANE_BYTES", 4_000)
+        lane = service_module.FastLane()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def hammer(worker: int) -> None:
+            for i in range(300):
+                key = f"{worker}-{i % 40}"
+                lane.put(key, service_module.Answer(b"x" * (50 + i % 7),
+                                                    None))
+                lane.entries.get(f"{(worker + 1) % 8}-{i % 40}")
+                lane.count_hits(1)
+
+        try:
+            threads = [threading.Thread(target=hammer, args=(worker,))
+                       for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert lane.bytes == sum(len(a.body) for a in lane.entries.values())
+        assert lane.bytes <= 4_000
+        assert lane.hits == 8 * 300
 
 
 class TestServeShutdown:

@@ -1,24 +1,34 @@
-"""Round-trip tests for trace file formats."""
+"""Round-trip tests for trace file formats.
+
+Page traces are read back the one way the program reads them: through
+``open_trace_source`` and ``materialize``.
+"""
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 import pytest
 
 from repro.trace.io import (
     load_cpu_trace,
-    load_trace,
-    parse_text_trace,
     read_text_cpu_trace,
-    read_text_trace,
     save_cpu_trace,
     save_trace,
     write_text_cpu_trace,
     write_text_trace,
 )
+from repro.trace.source import materialize, open_trace_source
 from repro.trace.trace import CPUTrace, Trace
+
+
+def _read(path) -> Trace:
+    return materialize(open_trace_source(path))
+
+
+def _parse(tmp_path, text: str) -> Trace:
+    path = tmp_path / "trace.trc"
+    path.write_text(text, encoding="utf-8")
+    return _read(path)
 
 
 @pytest.fixture
@@ -43,32 +53,32 @@ class TestTextFormat:
     def test_round_trip(self, trace, tmp_path):
         path = tmp_path / "trace.trc"
         write_text_trace(trace, path)
-        with pytest.deprecated_call():  # whole-trace reader: use sources
-            loaded = read_text_trace(path)
+        loaded = _read(path)
         assert loaded == trace
         assert loaded.name == "roundtrip"
         assert loaded.page_size == 8192
 
-    def test_parse_comments_and_hex(self):
-        text = io.StringIO(
+    def test_parse_comments_and_hex(self, tmp_path):
+        trace = _parse(tmp_path, (
             "# name: demo\n"
-            "# page_size: 4096\n"
+            "# page_size: 0x2000\n"
             "\n"
             "R 0x10\n"
+            "# a comment between requests\n"
             "W 17\n"
-        )
-        trace = parse_text_trace(text)
+        ))
         assert trace.name == "demo"
+        assert trace.page_size == 8192
         assert list(trace.pages) == [16, 17]
         assert list(trace.is_write) == [False, True]
 
-    def test_parse_rejects_malformed_lines(self):
+    def test_parse_rejects_malformed_lines(self, tmp_path):
         with pytest.raises(ValueError):
-            parse_text_trace(io.StringIO("R\n"))
+            _parse(tmp_path, "R\n")
 
-    def test_parse_rejects_bad_kind(self):
+    def test_parse_rejects_bad_kind(self, tmp_path):
         with pytest.raises(ValueError):
-            parse_text_trace(io.StringIO("Q 5\n"))
+            _parse(tmp_path, "Q 5\n")
 
     def test_cpu_round_trip(self, cpu_trace, tmp_path):
         path = tmp_path / "cpu.trc"
@@ -84,8 +94,7 @@ class TestBinaryFormat:
     def test_round_trip(self, trace, tmp_path):
         path = tmp_path / "trace.npz"
         save_trace(trace, path)
-        with pytest.deprecated_call():  # whole-trace reader: use sources
-            loaded = load_trace(path)
+        loaded = _read(path)
         assert loaded == trace
         assert loaded.name == trace.name
 
@@ -100,7 +109,6 @@ class TestBinaryFormat:
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.npz"
         save_trace(Trace.empty(name="nothing"), path)
-        with pytest.deprecated_call():  # whole-trace reader: use sources
-            loaded = load_trace(path)
+        loaded = _read(path)
         assert len(loaded) == 0
         assert loaded.name == "nothing"

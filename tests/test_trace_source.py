@@ -4,8 +4,7 @@ Covers the input layer of the streaming pipeline: source coercion and
 chunk joins, the streaming file readers, the chunk-size-invariant
 content digest, the content-addressed :class:`TraceStore`, the frozen
 :class:`SourceSpec` riding on :class:`RunSpec` (identity, digests,
-engines), the deprecation of the whole-trace readers, and the
-concurrent-writer safety of :class:`ResultCache`.
+engines), and the concurrent-writer safety of :class:`ResultCache`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.experiments.executor import (
     execute_specs,
 )
 from repro.experiments.runspec import RunSpec
-from repro.trace.io import read_text_trace, save_trace, write_text_trace
+from repro.trace.io import save_trace, write_text_trace
 from repro.trace.source import (
     DEFAULT_CHUNK_REQUESTS,
     IterableTraceSource,
@@ -116,12 +115,6 @@ class TestFileSources:
         assert isinstance(source, NpzTraceSource)
         assert source.request_count == len(trace)
         assert _join(source.chunks(100)) == trace
-
-    def test_whole_trace_readers_deprecated(self, trace, tmp_path):
-        path = tmp_path / "t.trc"
-        write_text_trace(trace, path)
-        with pytest.deprecated_call():
-            assert read_text_trace(path) == trace
 
 
 # ----------------------------------------------------------------------
