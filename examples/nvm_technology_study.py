@@ -42,7 +42,7 @@ def main() -> None:
         "PCM, 2x faster writes": faster_writes,
         # `static` here is scaled()'s dimensionless factor, not the
         # PowerBreakdown.static joules field of the same name.
-        "STT-RAM-like": sttram_spec().scaled(static=static_factor),  # noqa: R006
+        "STT-RAM-like": sttram_spec().scaled(static=static_factor),
         "PCM, half energy": base.nvm.scaled(energy=0.5),
         "PCM, 2x slower": base.nvm.scaled(latency=2.0),
     }

@@ -2,46 +2,19 @@
 
 The paper's comparisons are only meaningful while every policy charges
 its events through the same accounting path and every simulation is
-deterministic.  This package machine-checks those contracts:
+deterministic.  Two halves check those contracts:
 
-* :mod:`repro.analysis.lint` — a project-specific AST lint pass
-  (``python -m repro lint``) enforcing the bookkeeping and determinism
-  rules R002-R012 (see :mod:`repro.analysis.rules`).  Rules R006-R010
-  are flow-sensitive dataflow analyses — units-of-measure inference,
-  page life-cycle typestate and the accounting contract — built on the
-  CFG/fixpoint framework of :mod:`repro.analysis.flow`.  The opt-in
-  ``--deep`` tier (:mod:`repro.analysis.interproc`) adds the
-  interprocedural rules R013-R015 — worker purity, sync-before-emit
-  and digest stability — over a project call graph with per-function
-  side-effect summaries; ``--fix`` applies the mechanical R003/R005
-  rewrites (:mod:`repro.analysis.autofix`).
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime wrapper that
   re-validates the memory manager's invariants after every simulated
   request (``HybridMemorySimulator(..., sanitize=True)`` or the
-  ``REPRO_SANITIZE=1`` environment default).
+  ``REPRO_SANITIZE=1`` environment default).  It is the accounting
+  contract's guard: a policy that charges a request zero or two times,
+  or leaks a frame, fails the run.
+* :mod:`repro.analysis.lint` — the ``python -m repro lint`` front end:
+  the syntactic determinism and hygiene rules R002-R005 and R011
+  (:mod:`repro.analysis.rules`) plus the opt-in hot-path perf tier
+  R016-R018 with its ratchet baseline (:mod:`repro.analysis.perf`).
+
+This ``__init__`` imports nothing, so loading the sanitizer (which the
+test suite does on every run) does not load the linter.
 """
-
-from repro.analysis.autofix import fix_paths
-from repro.analysis.findings import Finding
-from repro.analysis.interproc import DEEP_RULES
-from repro.analysis.lint import lint_paths
-from repro.analysis.rules import DEFAULT_RULES, LintRule
-from repro.analysis.sanitizer import (
-    SANITIZE_ENV,
-    SanitizedPolicy,
-    SanitizerError,
-    sanitize_default,
-)
-
-__all__ = [
-    "DEEP_RULES",
-    "DEFAULT_RULES",
-    "Finding",
-    "LintRule",
-    "SANITIZE_ENV",
-    "SanitizedPolicy",
-    "SanitizerError",
-    "fix_paths",
-    "lint_paths",
-    "sanitize_default",
-]

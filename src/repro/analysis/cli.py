@@ -14,10 +14,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from repro.analysis.autofix import fix_paths
 from repro.analysis.findings import Finding
-from repro.analysis.interproc.interproc_rules import DEEP_RULES
-from repro.analysis.lint import LintReport, lint_report
+from repro.analysis.lint import LintReport, UnknownRuleError, lint_report
 from repro.analysis.perf.baseline import (
     Key,
     apply_baseline,
@@ -34,14 +32,9 @@ FORMATS = ("text", "json", "github")
 def list_rules(stream: TextIO | None = None) -> int:
     """Print the rule catalogue (``repro lint --list-rules``)."""
     stream = stream if stream is not None else sys.stdout
-    tiers = (("", DEFAULT_RULES), (" (deep)", DEEP_RULES),
-             (" (perf)", PERF_RULES))
-    for tag, rules in tiers:
+    for tag, rules in (("", DEFAULT_RULES), (" (perf)", PERF_RULES)):
         for rule in rules:
-            aliases = getattr(rule, "aliases", ())
-            alias_note = f" (alias: {', '.join(aliases)})" if aliases else ""
-            print(f"{rule.rule_id}  {rule.title}{alias_note}{tag}",
-                  file=stream)
+            print(f"{rule.rule_id}  {rule.title}{tag}", file=stream)
     return 0
 
 
@@ -118,20 +111,17 @@ def run_lint(
     select: Sequence[str] | None = None,
     stream: TextIO | None = None,
     *,
-    deep: bool = False,
     perf: bool = False,
     fmt: str = "text",
-    fix: bool = False,
     baseline: str | None = None,
     update_baseline: bool = False,
     statistics: bool = False,
 ) -> int:
     """Lint ``paths``; 0 clean, 1 findings, 2 usage error or crash.
 
-    ``deep`` adds the interprocedural tier (R013-R015), ``perf`` the
-    hot-path tier (R016-R018); ``fmt`` picks the output renderer
-    (``text``/``json``/``github``); ``fix`` first applies the
-    mechanical R003/R005 rewrites, then lints what remains.
+    ``perf`` adds the hot-path tier (R016-R018); ``select`` restricts
+    the run to the given rule ids, an unknown id being a usage error;
+    ``fmt`` picks the output renderer (``text``/``json``/``github``).
     ``baseline`` ratchets: findings recorded there are tolerated, new
     ones fail; ``update_baseline`` re-records and exits clean.
     ``statistics`` prints per-tier timings and per-rule counts to
@@ -148,11 +138,8 @@ def run_lint(
               file=sys.stderr)
         return 2
     try:
-        if fix:
-            for applied in fix_paths(paths, select=select):
-                print(f"fixed {applied.render()}", file=stream)
-        report = lint_report(paths, select=select, deep=deep, perf=perf)
-    except FileNotFoundError as exc:
+        report = lint_report(paths, select=select, perf=perf)
+    except (FileNotFoundError, UnknownRuleError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
     except Exception:  # noqa — analyzer crash must not masquerade as findings

@@ -1,8 +1,8 @@
 """Project-wide context shared by the lint rules.
 
-Rules such as R010 (accounting contract) and R004 (registry coverage)
-need to know which classes are placement policies and which class
-names the policy registry references.  Both are computed once over the
+R004 (registry coverage) and the perf tier's hot seeds need to know
+which classes are placement policies and which class names the policy
+registry references.  Both are computed once over the
 whole set of linted files, so rules stay simple per-file visitors.
 """
 
@@ -65,8 +65,7 @@ class ProjectContext:
     #: or ``None`` when no registry file is among the linted files.
     registry_names: set[str] | None = None
     #: per-run memoisation space for expensive analyses (keyed by the
-    #: analysis; e.g. the units checker caches its per-file results and
-    #: the project-wide dimension registry here).
+    #: analysis; the perf tier keeps its hot-region map here).
     scratch: dict = field(default_factory=dict)
 
     @classmethod

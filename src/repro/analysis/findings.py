@@ -5,33 +5,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-#: ``# noqa`` / ``# noqa: R001,R003`` suppression comments on the
+#: ``# noqa`` / ``# noqa: R002,R003`` suppression comments on the
 #: offending line silence the listed rules (or every rule when bare).
 _NOQA = re.compile(r"#\s*noqa(?::\s*(?P<ids>[A-Z0-9,\s]+))?", re.IGNORECASE)
 
-#: Historical rule id -> current rule id.  Rules that supersede an
-#: older rule register the old id here once; ``--select`` resolution
-#: and ``# noqa`` suppression both consult this table, so neither the
-#: driver nor the rule classes special-case individual renames.
-RULE_ALIASES: dict[str, str] = {
-    # R001 (abstract path-enumeration accounting checker, PR 1) was
-    # re-implemented on the fixpoint engine as R010.
-    "R001": "R010",
-}
-
 
 def canonical_id(rule_id: str) -> str:
-    """Resolve a possibly-historical rule id to its current id."""
-    rule_id = rule_id.strip().upper()
-    return RULE_ALIASES.get(rule_id, rule_id)
-
-
-def aliases_of(rule_id: str) -> tuple[str, ...]:
-    """Historical ids that resolve to ``rule_id`` (sorted)."""
-    canonical = canonical_id(rule_id)
-    return tuple(sorted(
-        old for old, new in RULE_ALIASES.items() if new == canonical
-    ))
+    """Normalise a user-written rule id (``" r003"`` -> ``"R003"``)."""
+    return rule_id.strip().upper()
 
 
 @dataclass(frozen=True, order=True)
@@ -55,18 +36,8 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
 
 
-def suppressed(
-    finding: Finding,
-    source_lines: list[str],
-    aliases: tuple[str, ...] = (),
-) -> bool:
-    """True when the finding's line carries a matching ``noqa`` comment.
-
-    Ids listed in the comment are resolved through :data:`RULE_ALIASES`
-    (e.g. ``# noqa: R001`` keeps silencing the R010 successor).
-    ``aliases`` adds further ids the finding's rule answers to, for
-    rules that carry ad hoc aliases beyond the shared table.
-    """
+def suppressed(finding: Finding, source_lines: list[str]) -> bool:
+    """True when the finding's line carries a matching ``noqa`` comment."""
     if not 1 <= finding.line <= len(source_lines):
         return False
     match = _NOQA.search(source_lines[finding.line - 1])
@@ -75,11 +46,5 @@ def suppressed(
     ids = match.group("ids")
     if ids is None:
         return True
-    wanted = {
-        canonical_id(part) for part in ids.split(",") if part.strip()
-    }
-    accepted = {
-        canonical_id(finding.rule_id),
-        *(canonical_id(alias) for alias in aliases),
-    }
-    return bool(accepted & wanted)
+    wanted = {canonical_id(part) for part in ids.split(",") if part.strip()}
+    return finding.rule_id in wanted

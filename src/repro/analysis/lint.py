@@ -11,7 +11,6 @@ from typing import Any, Iterable, Sequence
 
 from repro.analysis.context import ProjectContext, SourceFile
 from repro.analysis.findings import Finding, canonical_id, suppressed
-from repro.analysis.interproc.interproc_rules import DEEP_RULES
 from repro.analysis.perf.rules import PERF_RULES
 from repro.analysis.rules import DEFAULT_RULES, LintRule
 
@@ -23,17 +22,13 @@ _SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist"}
 #: hoc RNGs on purpose, define throwaway policy classes that have no
 #: business in the registry or the device-constant vocabulary, and
 #: probe simulator internals directly (R011 exempts them); examples
-#: define demonstration policies without registering them.  The deep
-#: tier (R013-R015) is likewise scoped to ``src``: test doubles and
-#: example policies deliberately poke shared state and fake kernels.
-#: The perf tier (R016-R018) is likewise scoped to ``src``: test
-#: fixtures and examples build throwaway objects in loops on purpose.
+#: define demonstration policies without registering them.  The perf
+#: tier (R016-R018) is scoped to ``src``: test fixtures and examples
+#: build throwaway objects in loops on purpose.
 PROFILES: dict[str, frozenset[str]] = {
     "tests": frozenset({"R002", "R004", "R005", "R011",
-                        "R013", "R014", "R015",
                         "R016", "R017", "R018"}),
-    "examples": frozenset({"R004", "R013", "R014", "R015",
-                           "R016", "R017", "R018"}),
+    "examples": frozenset({"R004", "R016", "R017", "R018"}),
 }
 
 
@@ -46,9 +41,8 @@ def disabled_for(path: Path) -> frozenset[str]:
     return frozenset(disabled)
 
 
-def rule_ids(rule: LintRule) -> frozenset[str]:
-    """Every id a rule answers to: its own plus historical aliases."""
-    return frozenset({rule.rule_id, *getattr(rule, "aliases", ())})
+class UnknownRuleError(ValueError):
+    """``select`` named a rule id no rule in the run answers to."""
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -69,8 +63,8 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
 
 #: Parse cache keyed on the file's ``(mtime_ns, size)`` stat signature
 #: — the same scheme the executor's ``code_version`` uses — so a
-#: ``--deep`` run (and the project analyses hanging off the parse
-#: trees) re-reads only files that changed since the previous run.
+#: repeated run (and the call graph hanging off the parse trees)
+#: re-reads only files that changed since the previous run.
 _PARSE_CACHE: dict[str, tuple[tuple[int, int], SourceFile]] = {}
 
 
@@ -130,39 +124,37 @@ def lint_report(
     paths: Sequence[str | Path],
     rules: Sequence[LintRule] | None = None,
     select: Iterable[str] | None = None,
-    deep: bool = False,
     perf: bool = False,
 ) -> LintReport:
     """Run the lint tiers over ``paths``; findings plus tier timings.
 
-    ``select`` restricts the run to the given rule ids — historical
-    aliases resolve through :data:`~repro.analysis.findings.RULE_ALIASES`
-    (``["R001"]`` selects the R010 successor) and deep/perf-tier ids
-    are selectable without ``deep``/``perf``; ``rules`` substitutes the
-    rule set entirely; ``deep=True`` adds the interprocedural tier
-    (R013-R015) and ``perf=True`` the hot-path tier (R016-R018) to the
+    ``select`` restricts the run to the given rule ids (perf-tier ids
+    are selectable without ``perf``) and raises
+    :class:`UnknownRuleError` for an id no rule answers to, so a typo
+    cannot pass by checking nothing; ``rules`` substitutes the rule set
+    entirely; ``perf=True`` adds the hot-path tier (R016-R018) to the
     default set.  Directory :data:`PROFILES` switch rules off per file.
 
     Files are parsed once for the whole run (shared ``_PARSE_CACHE``)
-    and all tiers lint the same :class:`ProjectContext`, so a combined
-    ``--deep --perf`` run builds each AST — and the interproc call
-    graph hanging off it — exactly once.
+    and all tiers lint the same :class:`ProjectContext`.
     """
-    # The tiers duck-type ``LintRule`` (the deep/perf rules do not
-    # inherit it), so the catalogue is deliberately untyped.
+    # The perf rules duck-type ``LintRule`` (they do not inherit it),
+    # so the catalogue is deliberately untyped.
     if rules is not None:
         tiers: list[tuple[str, list[Any]]] = [("custom", list(rules))]
     else:
-        include_all = select is not None
         tiers = [("base", list(DEFAULT_RULES))]
-        if deep or include_all:
-            tiers.append(("deep", list(DEEP_RULES)))
-        if perf or include_all:
+        if perf or select is not None:
             tiers.append(("perf", list(PERF_RULES)))
     if select is not None:
         wanted = {canonical_id(rule_id) for rule_id in select}
+        unknown = wanted - {rule.rule_id for _, tier in tiers for rule in tier}
+        if unknown:
+            raise UnknownRuleError(
+                f"unknown rule id(s): {', '.join(sorted(unknown))} "
+                "(see --list-rules)")
         tiers = [
-            (name, [rule for rule in tier if rule_ids(rule) & wanted])
+            (name, [rule for rule in tier if rule.rule_id in wanted])
             for name, tier in tiers
         ]
         tiers = [(name, tier) for name, tier in tiers if tier]
@@ -179,9 +171,8 @@ def lint_report(
             for rule in tier:
                 if rule.rule_id in disabled:
                     continue
-                aliases = tuple(getattr(rule, "aliases", ()))
                 for finding in rule.check(src, project):
-                    if not suppressed(finding, lines, aliases):
+                    if not suppressed(finding, lines):
                         tier_findings.append(finding)
         stats.append(TierStats(
             name=name,
@@ -196,9 +187,7 @@ def lint_paths(
     paths: Sequence[str | Path],
     rules: Sequence[LintRule] | None = None,
     select: Iterable[str] | None = None,
-    deep: bool = False,
     perf: bool = False,
 ) -> list[Finding]:
     """Sorted findings of :func:`lint_report` (the historical API)."""
-    return lint_report(
-        paths, rules=rules, select=select, deep=deep, perf=perf).findings
+    return lint_report(paths, rules=rules, select=select, perf=perf).findings

@@ -1,16 +1,15 @@
-"""Project-wide call graph for the interprocedural lint tier.
+"""Project-wide call graph for the hot-path perf tier.
 
-The intraprocedural engine (:mod:`repro.analysis.flow`) answers "what
-happens on the paths through *this* function"; the deep rules
-(R013-R015) need the complementary question — "what does calling this
-function *do*, transitively".  This module builds the project call
-graph they walk:
+The perf rules (R016-R018) look only at code reachable from a hot
+seed, so they need the question "what does calling this function
+reach, transitively".  This module builds the project call graph
+:mod:`repro.analysis.perf.hotpath` walks:
 
 * a :class:`ModuleIndex` per file — its functions (including nested
-  ones), classes, module-level globals and import aliases — memoised
-  on the file's ``(mtime_ns, size)`` stat signature, the same scheme
-  the executor's ``code_version`` uses, so repeated ``--deep`` runs
-  re-index only files that changed;
+  ones), classes and import aliases — memoised on the file's
+  ``(mtime_ns, size)`` stat signature, the same scheme the executor's
+  ``code_version`` uses, so repeated lint runs re-index only files
+  that changed;
 * name resolution from call sites to function definitions:
   module-level functions by name and import alias, constructors to
   ``__init__``/``__post_init__``, ``self.m()`` over the enclosing
@@ -19,13 +18,11 @@ graph they walk:
   defining ``m``;
 * a bounded-depth reachability closure (:meth:`CallGraph.reachable`)
   returning, for every reached function, the call chain from its seed
-  — the evidence the worker-purity rule prints.
+  — the evidence a perf finding prints.
 
 Resolution is deliberately an over-approximation: dispatch that cannot
 be narrowed fans out to every candidate, and call sites that resolve
-to nothing known are recorded per function in
-:attr:`CallGraph.unknown_calls` so summaries can report "calls unknown
-callable" instead of silently assuming purity.
+to nothing known add no edge.
 """
 
 from __future__ import annotations
@@ -37,12 +34,10 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.analysis.context import SourceFile
-from repro.analysis.flow.cfg import SCOPE_STMTS
 
-#: Marker comment that declares a module-level mutable as intentionally
-#: per-process (each pool worker mutates its own copy after fork/spawn,
-#: so there is no shared-state race for R013 to report).
-WORKER_LOCAL_MARKER = "repro: worker-local"
+#: Statements whose bodies define a new scope: they run when called,
+#: not where they are defined.
+SCOPE_STMTS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: Marker comment on a ``def`` line that excludes the function from the
 #: perf tier's hot regions: it is neither treated as hot itself nor
@@ -79,56 +74,13 @@ HOT_DRIVE_METHODS: dict[str, tuple[str, ...]] = {
 #: Default bound on the reachability closure depth.
 DEFAULT_DEPTH = 16
 
-#: Builtins whose calls are fully understood (no project code runs).
-PURE_BUILTINS = frozenset({
-    "abs", "all", "any", "bool", "bytes", "callable", "chr", "complex",
-    "dict", "divmod", "enumerate", "filter", "float", "format",
-    "frozenset", "getattr", "hasattr", "hash", "id", "int", "isinstance",
-    "issubclass", "iter", "len", "list", "map", "max", "memoryview",
-    "min", "next", "object", "ord", "range", "repr", "reversed", "round",
-    "set", "slice", "sorted", "str", "sum", "super", "tuple", "type",
-    "vars", "zip",
-    # Exception constructors: ``raise ValueError(...)`` is not a call
-    # into project code.
-    "ArithmeticError", "AssertionError", "AttributeError", "BaseException",
-    "Exception", "FileNotFoundError", "IndexError", "KeyError",
-    "LookupError", "NotImplementedError", "OSError", "OverflowError",
-    "RuntimeError", "StopIteration", "TypeError", "ValueError",
-    "ZeroDivisionError",
-})
-
-#: Builtins that perform I/O when called.
-IO_BUILTINS = frozenset({"print", "open", "input", "breakpoint"})
-
-#: Method names treated as builtin container/string operations when no
-#: project class defines a method of that name.
-BENIGN_METHODS = frozenset({
-    "append", "extend", "insert", "add", "discard", "remove", "pop",
-    "popitem", "clear", "update", "setdefault", "sort", "reverse",
-    "copy", "get", "items", "keys", "values", "join", "split",
-    "rsplit", "strip", "lstrip", "rstrip", "startswith", "endswith",
-    "format", "encode", "decode", "lower", "upper", "replace", "count",
-    "index", "find", "rfind", "zfill", "hexdigest", "digest",
-    "appendleft", "popleft", "most_common", "total_seconds", "bit_length",
-    "to_bytes", "from_bytes", "is_integer", "as_integer_ratio",
-    "isdigit", "isalpha", "splitlines", "title", "capitalize",
-})
-
-#: ``multiprocessing``/``concurrent.futures`` methods whose first
-#: callable argument runs in another process: the pool-submission
-#: sites the worker-purity rule seeds from.
-POOL_SUBMIT_METHODS = frozenset({
-    "imap", "imap_unordered", "map", "map_async", "starmap",
-    "starmap_async", "apply", "apply_async", "submit",
-})
-
 
 def short_chain(graph: "CallGraph", chain: Sequence[str]) -> str:
     """Render a call chain with module prefixes stripped for messages.
 
     ``("repro.core.m.P.access", "repro.core.m.P._fault")`` becomes
-    ``"P.access -> P._fault"`` — the form the deep and perf tiers print
-    as evidence.
+    ``"P.access -> P._fault"`` — the form perf findings print as
+    evidence.
     """
     parts = []
     for qname in chain:
@@ -163,22 +115,17 @@ def module_name(path: Path) -> str:
     return ".".join(parts) or path.stem
 
 
-def inline_nodes(
-    node: ast.AST, *, into_lambda: bool = True
-) -> Iterator[ast.AST]:
+def inline_nodes(node: ast.AST) -> Iterator[ast.AST]:
     """Descendants of ``node`` that execute inline with it.
 
     Skips nested function/class definitions (their bodies run when
-    *called*, not here); lambdas are included by default because their
-    bodies typically run within the same dynamic extent (sort keys,
-    filters), and excluded on request for strictly-sequential analyses.
+    *called*, not here); lambdas are included because their bodies
+    typically run within the same dynamic extent (sort keys, filters).
     """
     stack = list(ast.iter_child_nodes(node))
     while stack:
         child = stack.pop()
         if isinstance(child, SCOPE_STMTS):
-            continue
-        if isinstance(child, ast.Lambda) and not into_lambda:
             continue
         yield child
         stack.extend(ast.iter_child_nodes(child))
@@ -186,8 +133,8 @@ def inline_nodes(
 
 def collect_scope(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-    """``(local names, global decls, nonlocal decls)`` of ``func``.
+) -> tuple[frozenset[str], frozenset[str]]:
+    """``(local names, nonlocal decls)`` of ``func``.
 
     Locals include parameters and every name bound inline (assignment,
     loop target, ``with ... as``, walrus, handler name, in-function
@@ -216,11 +163,7 @@ def collect_scope(
             globals_.update(node.names)
         elif isinstance(node, ast.Nonlocal):
             nonlocals.update(node.names)
-    return (
-        frozenset(names - globals_ - nonlocals),
-        frozenset(globals_),
-        frozenset(nonlocals),
-    )
+    return frozenset(names - globals_ - nonlocals), frozenset(nonlocals)
 
 
 def build_aliases(
@@ -303,10 +246,7 @@ class FunctionInfo:
     parent: str | None
     line: int
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    params: tuple[str, ...]
-    local_names: frozenset[str] = frozenset()
-    global_decls: frozenset[str] = frozenset()
-    nonlocal_decls: frozenset[str] = frozenset()
+    local_names: frozenset[str]
 
 
 @dataclass
@@ -317,9 +257,7 @@ class ModuleIndex:
     path: str
     functions: list[FunctionInfo] = field(default_factory=list)
     classes: dict[str, list[str]] = field(default_factory=dict)
-    module_globals: dict[str, int] = field(default_factory=dict)
     imports: dict[str, str] = field(default_factory=dict)
-    worker_local: frozenset[str] = frozenset()
 
 
 def _resolve_relative(base_module: str, node: ast.ImportFrom) -> str:
@@ -335,21 +273,10 @@ def _resolve_relative(base_module: str, node: ast.ImportFrom) -> str:
 
 
 def build_module_index(src: SourceFile) -> ModuleIndex:
-    """Index one parsed file: functions, classes, globals, imports."""
+    """Index one parsed file: functions, classes, imports."""
     module = module_name(src.path)
     index = ModuleIndex(module=module, path=str(src.path))
-    lines = src.lines
     for stmt in src.tree.body:
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-            targets = [stmt.target]
-        for target in targets:
-            elts = target.elts if isinstance(target, ast.Tuple) else [target]
-            for elt in elts:
-                if isinstance(elt, ast.Name):
-                    index.module_globals.setdefault(elt.id, stmt.lineno)
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -363,11 +290,6 @@ def build_module_index(src: SourceFile) -> ModuleIndex:
                     f"{origin_module}.{alias.name}" if origin_module
                     else alias.name
                 )
-    marked = {
-        name for name, line in index.module_globals.items()
-        if 1 <= line <= len(lines) and WORKER_LOCAL_MARKER in lines[line - 1]
-    }
-    index.worker_local = frozenset(marked)
     _index_functions(index, src.tree.body, cls=None, parent=None)
     return index
 
@@ -386,12 +308,6 @@ def _index_functions(
                 qname = f"{index.module}.{cls}.{stmt.name}"
             else:
                 qname = f"{index.module}.{stmt.name}"
-            args = stmt.args
-            params = tuple(
-                arg.arg for arg in
-                (*args.posonlyargs, *args.args, *args.kwonlyargs)
-            )
-            local_names, global_decls, nonlocal_decls = collect_scope(stmt)
             index.functions.append(FunctionInfo(
                 qname=qname,
                 module=index.module,
@@ -401,10 +317,7 @@ def _index_functions(
                 parent=parent,
                 line=stmt.lineno,
                 node=stmt,
-                params=params,
-                local_names=local_names,
-                global_decls=global_decls,
-                nonlocal_decls=nonlocal_decls,
+                local_names=collect_scope(stmt)[0],
             ))
             _index_functions(index, stmt.body, cls=None, parent=qname)
         elif isinstance(stmt, ast.ClassDef):
@@ -420,7 +333,7 @@ def _index_functions(
 
 
 #: Per-file index cache: path -> ((mtime_ns, size), index).
-_INDEX_CACHE: dict[str, tuple[tuple[int, int], ModuleIndex]] = {}  # repro: worker-local
+_INDEX_CACHE: dict[str, tuple[tuple[int, int], ModuleIndex]] = {}
 
 
 def indexed(src: SourceFile) -> ModuleIndex:
@@ -451,9 +364,7 @@ class CallGraph:
     by_func_name: dict[str, list[str]] = field(default_factory=dict)
     class_methods: dict[str, dict[str, str]] = field(default_factory=dict)
     class_bases: dict[str, list[str]] = field(default_factory=dict)
-    class_module: dict[str, str] = field(default_factory=dict)
     edges: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    unknown_calls: dict[str, tuple[int, ...]] = field(default_factory=dict)
     _related: dict[str, frozenset[str]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -467,7 +378,6 @@ class CallGraph:
             graph.indexes[index.path] = index
             for name, bases in index.classes.items():
                 graph.class_bases.setdefault(name, bases)
-                graph.class_module.setdefault(name, index.module)
             for info in index.functions:
                 graph.functions[info.qname] = info
                 if info.cls is not None:
@@ -485,7 +395,6 @@ class CallGraph:
     def _build_edges(self, info: FunctionInfo) -> None:
         aliases = build_aliases(info.node)
         targets: list[str] = []
-        unknown_lines: list[int] = []
         # Defining a nested function may mean calling it.
         prefix = f"{info.qname}.<locals>."
         for qname in self.functions:
@@ -493,15 +402,9 @@ class CallGraph:
                     and "." not in qname[len(prefix):]:
                 targets.append(qname)
         for node in inline_nodes(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved, unknown = self.resolve_call(info, node, aliases)
-            targets.extend(resolved)
-            if unknown:
-                unknown_lines.append(node.lineno)
+            if isinstance(node, ast.Call):
+                targets.extend(self.resolve_call(info, node, aliases))
         self.edges[info.qname] = tuple(dict.fromkeys(targets))
-        if unknown_lines:
-            self.unknown_calls[info.qname] = tuple(unknown_lines)
 
     # ------------------------------------------------------------------
     # Class hierarchy
@@ -538,19 +441,14 @@ class CallGraph:
         info: FunctionInfo,
         call: ast.Call,
         aliases: dict[str, tuple[str, str]],
-    ) -> tuple[list[str], bool]:
-        """Possible targets of one call site: ``(qnames, unknown)``.
-
-        ``unknown`` is True when the callee cannot be mapped to any
-        known function, class or builtin — the caller's summary then
-        records "calls unknown callable".
-        """
+    ) -> list[str]:
+        """Possible targets of one call site (empty when unresolved)."""
         func = call.func
         if isinstance(func, ast.Name):
             return self._resolve_name(info, func.id, aliases)
         if isinstance(func, ast.Attribute):
-            return self._resolve_attribute(info, func, aliases)
-        return [], True
+            return self._resolve_attribute(info, func)
+        return []
 
     def _resolve_name(
         self,
@@ -558,86 +456,67 @@ class CallGraph:
         name: str,
         aliases: dict[str, tuple[str, str]],
         _depth: int = 0,
-    ) -> tuple[list[str], bool]:
+    ) -> list[str]:
         alias = aliases.get(name)
         if alias is not None and _depth < 4:
             kind, value = alias
             if kind == "name":
                 return self._resolve_name(info, value, aliases, _depth + 1)
-            return self._resolve_method(info, value)
+            return self._resolve_method(value)
         if name in info.local_names and alias is None:
             # A locally-bound callable we could not trace.
-            return [], True
+            return []
         index = self.indexes.get(info.path)
         module = index.module if index is not None else info.module
         direct = self.functions.get(f"{module}.{name}")
         if direct is not None and direct.cls is None:
-            return [direct.qname], False
+            return [direct.qname]
         if name in self.class_methods or name in self.class_bases:
-            return self._constructor_targets(name), False
+            return self._constructor_targets(name)
         if index is not None and name in index.imports:
             return self._resolve_import(index.imports[name])
-        if name in IO_BUILTINS or name in PURE_BUILTINS:
-            return [], False
-        return [], True
+        return []
 
     def _constructor_targets(self, cls_name: str) -> list[str]:
-        targets: list[str] = []
         methods = self.class_methods.get(cls_name, {})
-        for special in ("__init__", "__post_init__"):
-            qname = methods.get(special)
-            if qname is not None:
-                targets.append(qname)
-        return targets
+        return [
+            methods[special] for special in ("__init__", "__post_init__")
+            if special in methods
+        ]
 
-    def _resolve_import(self, origin: str) -> tuple[list[str], bool]:
+    def _resolve_import(self, origin: str) -> list[str]:
         direct = self.functions.get(origin)
         if direct is not None:
-            return [direct.qname], False
+            return [direct.qname]
         tail = origin.rsplit(".", 1)[-1]
         if tail in self.class_methods or tail in self.class_bases:
-            return self._constructor_targets(tail), False
-        if origin.split(".")[0] == "repro":
-            # A repro symbol outside the linted file set.
-            return [], True
-        return [], False  # stdlib / third-party: well understood enough
+            return self._constructor_targets(tail)
+        return []
 
     def _resolve_attribute(
-        self,
-        info: FunctionInfo,
-        func: ast.Attribute,
-        aliases: dict[str, tuple[str, str]],
-    ) -> tuple[list[str], bool]:
+        self, info: FunctionInfo, func: ast.Attribute
+    ) -> list[str]:
         method = func.attr
         base, chain = attribute_base(func)
         if base is None:
-            return self._resolve_method(info, method)
+            return self._resolve_method(method)
         if base in ("self", "cls") and info.cls is not None and len(chain) == 1:
             related = self.related_classes(info.cls)
             targets = [
                 qname for qname in self.by_method.get(method, [])
                 if self.functions[qname].cls in related
             ]
-            if targets:
-                return targets, False
-            return self._resolve_method(info, method)
+            return targets or self._resolve_method(method)
         index = self.indexes.get(info.path)
         imported = index.imports.get(base) if index is not None else None
         if imported is not None and base not in info.local_names:
             if len(chain) == 1:
                 return self._resolve_import(f"{imported}.{method}")
-            return [], False
-        return self._resolve_method(info, method)
+            return []
+        return self._resolve_method(method)
 
-    def _resolve_method(
-        self, info: FunctionInfo, method: str
-    ) -> tuple[list[str], bool]:
-        targets = self.by_method.get(method, [])
-        if targets:
-            return list(targets), False
-        if method in BENIGN_METHODS:
-            return [], False
-        return [], True
+    def _resolve_method(self, method: str) -> list[str]:
+        return list(self.by_method.get(method, []))
 
     # ------------------------------------------------------------------
     # Reachability
@@ -711,35 +590,3 @@ class CallGraph:
                     seeds.setdefault(
                         qname, "simulator drive loop dispatches every request")
         return seeds
-
-    def pool_submissions(self) -> dict[str, str]:
-        """Callables handed to a worker pool: qname -> submitting site.
-
-        Scans every function for ``pool.imap_unordered(fn, ...)``-style
-        calls (:data:`POOL_SUBMIT_METHODS`) and resolves the callable
-        argument.
-        """
-        submitted: dict[str, str] = {}
-        for info in self.functions.values():
-            aliases = build_aliases(info.node)
-            for node in inline_nodes(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if not isinstance(func, ast.Attribute) \
-                        or func.attr not in POOL_SUBMIT_METHODS:
-                    continue
-                candidates: list[ast.expr] = []
-                if node.args:
-                    candidates.append(node.args[0])
-                for keyword in node.keywords:
-                    if keyword.arg in ("func", "target"):
-                        candidates.append(keyword.value)
-                for candidate in candidates:
-                    if isinstance(candidate, ast.Name):
-                        resolved, _ = self._resolve_name(
-                            info, candidate.id, aliases)
-                        for qname in resolved:
-                            submitted.setdefault(
-                                qname, f"{info.qname}:{node.lineno}")
-        return submitted

@@ -7,18 +7,16 @@ would be noise.  This module decides *where* those rules look:
 * **seeds** come from :meth:`CallGraph.hot_seeds` — policy ``access``/
   ``access_batch`` kernels, the trace-filter kernels, and the simulator
   drive loops;
-* **closure**: everything reachable from a seed through the interproc
-  call graph is hot, with the shortest call chain kept as evidence
-  (seed -> ... -> function), so a finding can say *why* the function
-  is on the hot path;
+* **closure**: everything reachable from a seed through the project
+  call graph (:mod:`repro.analysis.perf.callgraph`) is hot, with the
+  shortest call chain kept as evidence (seed -> ... -> function), so a
+  finding can say *why* the function is on the hot path;
 * **opt-out**: a ``# repro: cold`` comment on a ``def`` line removes
   the function from the hot set and stops traversal through it —
   validation passes and debug helpers called from kernels live there.
 
-The discovery reuses the call graph and summaries built by
-:func:`~repro.analysis.interproc.interproc_rules.project_analysis`, so
-a combined ``--deep --perf`` run indexes the project exactly once; the
-result is memoised in ``project.scratch`` for the same reason.
+The result is memoised in ``project.scratch``, so the three perf rules
+share one call graph and one closure per lint run.
 """
 
 from __future__ import annotations
@@ -26,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.context import ProjectContext
-from repro.analysis.interproc.callgraph import (
+from repro.analysis.perf.callgraph import (
     COLD_MARKER,
     CallGraph,
     FunctionInfo,
     short_chain,
 )
-from repro.analysis.interproc.interproc_rules import project_analysis
 
 
 @dataclass
@@ -78,8 +75,7 @@ def hot_regions(project: ProjectContext) -> HotRegions:
     cached = project.scratch.get("perf.hot")
     if isinstance(cached, HotRegions):
         return cached
-    analysis = project_analysis(project)
-    graph = analysis.graph
+    graph = CallGraph.build(project.files)
     lines_by_path = {str(src.path): src.lines for src in project.files}
     cold: set[str] = set()
     for qname, info in graph.functions.items():

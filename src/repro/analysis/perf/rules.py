@@ -32,9 +32,9 @@ import ast
 from typing import Iterator
 
 from repro.analysis.context import ProjectContext, SourceFile
-from repro.analysis.findings import Finding, aliases_of
-from repro.analysis.flow.cfg import SCOPE_STMTS
-from repro.analysis.interproc.callgraph import (
+from repro.analysis.findings import Finding
+from repro.analysis.perf.callgraph import (
+    SCOPE_STMTS,
     FunctionInfo,
     attribute_base,
     collect_scope,
@@ -183,7 +183,7 @@ def _closure_free_names(
             if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Store)
         }
         return _free_names(node.body) - frozenset(params | stores)
-    local_names, _, nonlocals = collect_scope(node)
+    local_names, nonlocals = collect_scope(node)
     return _free_names(node) - local_names - nonlocals - {node.name}
 
 
@@ -224,7 +224,6 @@ class HotLoopAllocationRule:
     """R016: hot loops must not rebuild invariant or discarded objects."""
 
     rule_id = "R016"
-    aliases = aliases_of("R016")
     title = "hot loop rebuilds a loop-invariant or discarded object"
 
     def check(
@@ -339,7 +338,6 @@ class UnhoistedLookupRule:
     """R017: invariant attribute/global chains must be hoisted."""
 
     rule_id = "R017"
-    aliases = aliases_of("R017")
     title = "hot loop re-resolves a loop-invariant attribute chain"
 
     def check(
@@ -470,7 +468,6 @@ class NumpyChurnRule:
     """R018: no per-element boxing or array reallocation on hot paths."""
 
     rule_id = "R018"
-    aliases = aliases_of("R018")
     title = "hot path boxes numpy scalars or churns array dtypes"
 
     def check(

@@ -1,7 +1,7 @@
-"""The project-specific lint rules (R002-R012).
+"""The project-specific lint rules (R002-R005, R011).
 
-The interprocedural ``--deep`` tier (R013-R015) lives in
-:mod:`repro.analysis.interproc.interproc_rules`.
+The hot-path perf tier (R016-R018) lives in
+:mod:`repro.analysis.perf.rules`.
 
 Each rule checks one contract the reproduction's correctness rests on:
 
@@ -17,39 +17,16 @@ Each rule checks one contract the reproduction's correctness rests on:
     Latency/energy keyword arguments in the device-model layer
     (``repro.memory``) must come from named constants, not inline
     magic numbers.
-``R006``/``R007``
-    Units-of-measure checking: no arithmetic across incompatible
-    physical dimensions (ns vs s, pJ vs J), and no dimensions outside
-    the model vocabulary (:mod:`repro.analysis.flow.units`).
-``R008``/``R009``
-    Typestate checking of the page life-cycle protocol and the
-    count-before-traffic ordering of ``mm.record_request``
-    (:mod:`repro.analysis.flow.typestate`).
-``R010``
-    Every concrete ``HybridMemoryPolicy.access`` override calls
-    ``mm.record_request(...)`` exactly once on every control-flow path,
-    so all policies are scored by identical bookkeeping (Eq. 1-3 divide
-    event counts by the request total this call maintains).  R010
-    supersedes PR 1's R001 — same contract, now solved on the fixpoint
-    engine of :mod:`repro.analysis.flow` instead of by abstract path
-    enumeration — and answers to ``R001`` as an alias in ``--select``
-    and ``# noqa`` comments.
 ``R011``
     ``HybridMemorySimulator`` is constructed only inside
     ``repro.experiments``/``repro.mmu``; everything else runs through
     ``RunSpec.execute()`` / the parallel executor so all evaluation
     paths share one simulation recipe and the result cache.
-``R012``
-    R010's contract extended to the batched kernels: every request
-    loop in an ``access_batch`` override performs exactly one
-    accounting event per iteration path — a ``record_request`` /
-    ``access`` call or a ``+=`` on a deferred request counter — so
-    the inlined fast paths cannot silently drop or double-charge a
-    request (:mod:`repro.analysis.flow.accounting`).
 
-R006-R010 and R012 are dataflow analyses in :mod:`repro.analysis.flow`;
-this module hosts the single-pass syntactic rules and assembles
-:data:`DEFAULT_RULES`.
+The accounting contract itself (every policy charges each request
+exactly once, Eq. 1-3) is checked at runtime by the sanitizer
+(:mod:`repro.analysis.sanitizer`) and pinned by the equivalence and
+literal-equation suites, not statically.
 """
 
 from __future__ import annotations
@@ -59,14 +36,6 @@ from typing import Iterator
 
 from repro.analysis.context import ProjectContext, SourceFile, is_abstract
 from repro.analysis.findings import Finding
-from repro.analysis.flow.accounting import (
-    AccountingRule,
-    BatchAccountingRule,
-    analyze_batch_loop_paths,
-    analyze_record_request_paths,
-)
-from repro.analysis.flow.typestate import ProtocolRule, RecordedFirstRule
-from repro.analysis.flow.units import UnitsMismatchRule, UnitsSinkRule
 
 __all__ = [
     "LintRule",
@@ -75,14 +44,6 @@ __all__ = [
     "RegistryRule",
     "MagicNumberRule",
     "SimulatorConstructionRule",
-    "AccountingRule",
-    "BatchAccountingRule",
-    "ProtocolRule",
-    "RecordedFirstRule",
-    "UnitsMismatchRule",
-    "UnitsSinkRule",
-    "analyze_batch_loop_paths",
-    "analyze_record_request_paths",
     "DEFAULT_RULES",
 ]
 
@@ -90,15 +51,13 @@ __all__ = [
 class LintRule:
     """Base class: one rule, one ``check`` pass over a parsed file.
 
-    The lint driver duck-types rules (``rule_id``/``title``/``check``
-    and an optional ``aliases`` tuple), so the dataflow rules in
-    :mod:`repro.analysis.flow` participate without inheriting from
-    this class.
+    The lint driver duck-types rules (``rule_id``/``title``/``check``),
+    so the perf rules in :mod:`repro.analysis.perf.rules` participate
+    without inheriting from this class.
     """
 
     rule_id: str = "R000"
     title: str = "abstract rule"
-    aliases: tuple[str, ...] = ()
 
     def check(self, src: SourceFile,
               project: ProjectContext) -> Iterator[Finding]:
@@ -402,10 +361,4 @@ DEFAULT_RULES: tuple = (
     RegistryRule(),
     MagicNumberRule(),
     SimulatorConstructionRule(),
-    UnitsMismatchRule(),
-    UnitsSinkRule(),
-    ProtocolRule(),
-    RecordedFirstRule(),
-    AccountingRule(),
-    BatchAccountingRule(),
 )

@@ -1,10 +1,9 @@
 """Runtime simulation sanitizer: invariants checked while a policy runs.
 
-The lint pass (:mod:`repro.analysis.rules`) proves bookkeeping
-properties about the *source*; the sanitizer checks them about the
-*execution*.  :class:`SanitizedPolicy` wraps any placement policy and,
-after every serviced request, asserts the cross-layer invariants the
-paper's models depend on:
+The sanitizer is where the accounting contract is checked: no static
+rule re-derives it from the source.  :class:`SanitizedPolicy` wraps
+any placement policy and, after every serviced request, asserts the
+cross-layer invariants the paper's models depend on:
 
 * ``record_request`` ran exactly once for the request (the Eq. 1-3
   denominators count real requests);
@@ -66,7 +65,7 @@ class SanitizerError(AssertionError):
     """A simulation invariant was violated."""
 
 
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}  # repro: worker-local
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 def _counter_snapshot(accounting: object) -> dict[str, int]:

@@ -27,11 +27,10 @@ Commands
     exact end-of-run reconstruction check; ``--events PATH`` dumps the
     raw JSONL streams.
 ``lint``
-    Run the project-specific static-analysis rules (R002-R015,
-    including the dataflow-based units and typestate checks and, under
-    ``--deep``, the interprocedural purity/escape tier) over source
-    paths; exits nonzero on findings.  ``--format json|github`` for
-    machine-readable output, ``--fix`` for the mechanical rewrites.
+    Run the project-specific static-analysis rules (R002-R005 and R011
+    and, under ``--perf``, the hot-path tier R016-R018) over source
+    paths; exits nonzero on findings, 2 on an unknown ``--select`` id.
+    ``--format json|github`` for machine-readable output.
 ``profile``
     cProfile one (workload, policy) run — workload rendering excluded
     from the profile — and print the hottest functions.
@@ -403,9 +402,8 @@ def _cmd_lint(args) -> int:
 
     if args.list_rules:
         return list_rules()
-    return run_lint(args.paths, select=args.select, deep=args.deep,
-                    perf=args.perf, fmt=args.format, fix=args.fix,
-                    baseline=args.baseline,
+    return run_lint(args.paths, select=args.select, perf=args.perf,
+                    fmt=args.format, baseline=args.baseline,
                     update_baseline=args.update_baseline,
                     statistics=args.statistics)
 
@@ -757,15 +755,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the project lint rules (R002-R018) over source paths",
+        help="run the project lint rules (R002-R005, R011, R016-R018) "
+             "over source paths",
     )
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to lint (default: src)")
     p.add_argument("--select", nargs="+", metavar="RULE",
-                   help="restrict to the given rule ids (e.g. R010 R003)")
-    p.add_argument("--deep", action="store_true",
-                   help="add the interprocedural tier (R013-R015: worker "
-                        "purity, sync-before-emit, digest stability)")
+                   help="restrict to the given rule ids (e.g. R002 R003); "
+                        "an unknown id is a usage error")
     p.add_argument("--perf", action="store_true",
                    help="add the hot-path performance tier (R016-R018: "
                         "per-iteration allocation, unhoisted lookups, "
@@ -782,9 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json", "github"],
                    default="text",
                    help="output format (default: text)")
-    p.add_argument("--fix", action="store_true",
-                   help="apply mechanical fixes (R003 mutable defaults, "
-                        "R005 magic device numbers) before linting")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalogue and exit")
     p.set_defaults(func=_cmd_lint)

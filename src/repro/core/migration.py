@@ -91,8 +91,8 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
         * **DRAM hit**: LRU move-to-front is inlined (the DRAM queue
           carries no position windows), and the manager's
           ``record_request`` + ``serve_hit`` accounting is applied
-          directly (lint rule R012 verifies each path still records
-          the request exactly once; the sanitizer checks at runtime).
+          directly (the sanitizer checks at runtime that each path
+          still records the request exactly once).
         * **NVM hit**: the queue touch *including* the two position
           windows' boundary bookkeeping (:class:`PositionWindow`) is
           inlined, as are the windowed read/write counter ticks of

@@ -55,7 +55,7 @@ _VERSIONED_MODULES = ("experiments/runspec.py",)
 #: changed.  Unlike a plain once-per-process memo this stays correct
 #: in long-lived processes that edit source between submits (notebook
 #: kernels, watch loops, the executor's own tests).
-_code_version_memo: tuple[tuple, str] | None = None  # repro: worker-local
+_code_version_memo: tuple[tuple, str] | None = None
 
 StatSignature = tuple[tuple[str, int, int], ...]
 
@@ -172,7 +172,7 @@ class ResultCache:
 #: Per-process rendered-workload cache: with ``fork`` each worker keeps
 #: its own copy, so a workload is rendered at most once per worker even
 #: when it appears in many specs.
-_INSTANCES: dict[tuple, WorkloadInstance] = {}  # repro: worker-local
+_INSTANCES: dict[tuple, WorkloadInstance] = {}
 
 
 def _rendered(spec: RunSpec) -> WorkloadInstance:

@@ -88,7 +88,7 @@ _CONFIG_FIELDS = tuple(f.name for f in _dataclass_fields(MigrationConfig))
 
 #: Profiles are expensive relative to estimates, so estimate_spec keeps
 #: one per rendered workload.  Worker processes each build their own.
-_PROFILES: dict[tuple, WorkloadProfile] = {}  # repro: worker-local
+_PROFILES: dict[tuple, WorkloadProfile] = {}
 
 
 class UnsupportedPolicyError(ValueError):
@@ -280,7 +280,7 @@ def _single_tier(
 #: stage is what makes parameter sweeps orders of magnitude faster
 #: than simulation.  Entries hold the profile, so ``id()`` keys stay
 #: valid.  Worker processes each build their own.
-_MEMBERSHIP: dict[tuple, tuple] = {}  # repro: worker-local
+_MEMBERSHIP: dict[tuple, tuple] = {}
 _MEMBERSHIP_LIMIT = 16
 
 

@@ -36,8 +36,7 @@ class HybridMemoryPolicy(abc.ABC):
         request through the manager (``serve_hit`` / ``fault_fill``
         plus any migrations/evictions the policy decides on).
 
-        This contract is machine-checked: statically by lint rule R010
-        (``python -m repro lint``) and at runtime by the simulation
+        This contract is machine-checked at runtime by the simulation
         sanitizer (:mod:`repro.analysis.sanitizer`), which asserts that
         the request counter advanced exactly once per ``access`` call.
         """
@@ -55,11 +54,10 @@ class HybridMemoryPolicy(abc.ABC):
 
         Overrides are bound by the same contract as :meth:`access` —
         every request routes through ``self.mm.record_request``
-        exactly once — checked statically by lint rule R012 and at
-        runtime by the sanitizer, and proven behaviourally by the
-        golden-equivalence tests (``tests/test_batch_equivalence.py``):
-        a batch replay must produce *bit-identical* results to the
-        per-request replay.
+        exactly once — checked at runtime by the sanitizer and proven
+        behaviourally by the golden-equivalence tests
+        (``tests/test_batch_equivalence.py``): a batch replay must
+        produce *bit-identical* results to the per-request replay.
         """
         access = self.access
         for page, is_write in zip(pages, writes):

@@ -21,8 +21,8 @@ from repro.policies.base import HybridMemoryPolicy, PolicyFactory
 if TYPE_CHECKING:
     from repro.policies.replacement import ReplacementAlgorithm
 
-_FACTORIES: dict[str, PolicyFactory] = {}  # repro: worker-local
-_ALGORITHMS: dict[str, Callable[[int], "ReplacementAlgorithm"]] = {}  # repro: worker-local
+_FACTORIES: dict[str, PolicyFactory] = {}
+_ALGORITHMS: dict[str, Callable[[int], "ReplacementAlgorithm"]] = {}
 
 
 def _ensure_builtins() -> None:

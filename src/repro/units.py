@@ -6,9 +6,9 @@ anywhere in the pipeline invalidates every figure while all value-level
 tests keep passing.  These aliases make the intended dimension part of
 a signature without changing runtime behaviour (they are plain
 ``float``/``int`` at runtime): annotate a dataclass field, function
-return or parameter with one of them and the static units checker
-(rules R006/R007, :mod:`repro.analysis.flow.units`) propagates and
-cross-checks the dimensions flow-sensitively through the code.
+return or parameter with one of them to document its dimension.  The
+dimensions themselves are pinned by the literal Eq. 1/Eq. 2 tests in
+``tests/test_models.py``, which recompute each model by hand.
 
 Values carry SI base units: a ``Seconds`` value is in seconds (use the
 ``NANOSECOND``/``MILLISECOND`` constants from
@@ -25,10 +25,9 @@ Seconds = float
 Joules = float
 
 #: A power in watts (joules per second).  ``static_power_per_gb`` is
-#: annotated with this although it is watts *per GiB*: the checker
-#: treats the GiB normalisation (division by ``GIB``) as part of the
-#: byte dimension, so the product with a byte capacity comes out in
-#: plain watts.
+#: annotated with this although it is watts *per GiB*: the GiB
+#: normalisation (division by ``GIB``) belongs to the byte dimension,
+#: so the product with a byte capacity comes out in plain watts.
 Watts = float
 
 #: A size or capacity in bytes.

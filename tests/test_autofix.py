@@ -1,161 +1,24 @@
-"""Tests for ``repro lint --fix``, the output formats and rule aliases."""
+"""Tests for the ``repro lint`` output formats.
+
+The module once also covered ``repro lint --fix``; that option is gone
+and the format tests keep their ids.
+"""
 
 from __future__ import annotations
 
 import json
-import textwrap
 from pathlib import Path
 
-from repro.analysis.autofix import fix_paths
 from repro.analysis.cli import run_lint
-from repro.analysis.findings import aliases_of, canonical_id
-from repro.analysis.lint import lint_paths
 from repro.cli import main
 
 
 def _write(tmp_path: Path, name: str, source: str) -> Path:
     target = tmp_path / name
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(textwrap.dedent(source), encoding="utf-8")
+    target.write_text(source, encoding="utf-8")
     return target
 
 
-# ----------------------------------------------------------------------
-# R003 autofix
-# ----------------------------------------------------------------------
-class TestFixMutableDefaults:
-    def test_default_becomes_none_with_guard(self, tmp_path):
-        target = _write(tmp_path, "mod.py", """
-            def merge(items, extras=[], seen=None):
-                \"\"\"Merge.\"\"\"
-                return items + extras
-        """)
-        fixes = fix_paths([tmp_path])
-        assert [f.rule_id for f in fixes] == ["R003"]
-        text = target.read_text(encoding="utf-8")
-        assert "extras=None" in text
-        assert "if extras is None:" in text
-        assert "extras = []" in text
-        # Guard lands after the docstring.
-        lines = text.splitlines()
-        assert lines.index('    """Merge."""') \
-            < lines.index("    if extras is None:")
-        assert lint_paths([tmp_path], select=["R003"]) == []
-
-    def test_fixed_module_behaves_correctly(self, tmp_path):
-        target = _write(tmp_path, "mod.py", """
-            def push(item, box=[]):
-                box.append(item)
-                return box
-        """)
-        fix_paths([tmp_path])
-        namespace: dict = {}
-        exec(compile(target.read_text(encoding="utf-8"),
-                     str(target), "exec"), namespace)
-        # The shared-default aliasing bug is gone.
-        assert namespace["push"](1) == [1]
-        assert namespace["push"](2) == [2]
-
-    def test_fix_twice_is_a_no_op(self, tmp_path):
-        target = _write(tmp_path, "mod.py", """
-            def merge(items, extras=[], opts=dict()):
-                return items + extras, opts
-        """)
-        assert fix_paths([tmp_path])
-        first = target.read_text(encoding="utf-8")
-        assert fix_paths([tmp_path]) == []
-        assert target.read_text(encoding="utf-8") == first
-
-    def test_single_line_body_is_left_alone(self, tmp_path):
-        target = _write(tmp_path, "mod.py", """
-            def f(x=[]): return x
-        """)
-        before = target.read_text(encoding="utf-8")
-        assert fix_paths([tmp_path]) == []
-        assert target.read_text(encoding="utf-8") == before
-        assert lint_paths([tmp_path], select=["R003"])  # still flagged
-
-    def test_lambda_default_is_left_alone(self, tmp_path):
-        target = _write(tmp_path, "mod.py", """
-            g = lambda x=[]: x
-        """)
-        assert fix_paths([tmp_path]) == []
-        assert lint_paths([tmp_path], select=["R003"])
-
-
-# ----------------------------------------------------------------------
-# R005 autofix
-# ----------------------------------------------------------------------
-class TestFixMagicNumbers:
-    def test_rewrites_and_imports_unit(self, tmp_path):
-        target = _write(tmp_path, "memory/devices_x.py", """
-            spec = DeviceSpec(read_latency=2e-9, write_energy=1e-9)
-        """)
-        fixes = fix_paths([tmp_path])
-        assert {f.rule_id for f in fixes} == {"R005"}
-        text = target.read_text(encoding="utf-8")
-        assert "read_latency=2 * NANOSECOND" in text
-        assert "write_energy=1 * NANOJOULE" in text
-        assert "from repro.memory.devices import NANOJOULE, NANOSECOND" \
-            in text
-        assert lint_paths([tmp_path], select=["R005"]) == []
-
-    def test_extends_existing_unit_import(self, tmp_path):
-        target = _write(tmp_path, "memory/devices_x.py", """
-            from repro.memory.devices import NANOSECOND
-
-            spec = DeviceSpec(read_latency=50 * NANOSECOND,
-                              write_energy=2e-9)
-        """)
-        fix_paths([tmp_path])
-        text = target.read_text(encoding="utf-8")
-        assert "from repro.memory.devices import NANOJOULE, NANOSECOND" \
-            in text
-        assert text.count("import") == 1
-
-    def test_inexact_coefficients_are_skipped(self, tmp_path):
-        # 25 * 1e-9 != 25e-9 in float arithmetic: rewriting would nudge
-        # the device model by an ulp, so the number is left flagged.
-        target = _write(tmp_path, "memory/devices_x.py", """
-            spec = DeviceSpec(read_latency=25e-9)
-        """)
-        before = target.read_text(encoding="utf-8")
-        assert fix_paths([tmp_path]) == []
-        assert target.read_text(encoding="utf-8") == before
-        assert lint_paths([tmp_path], select=["R005"])
-
-    def test_outside_memory_layer_untouched(self, tmp_path):
-        target = _write(tmp_path, "policies/tuning.py", """
-            spec = DeviceSpec(read_latency=2e-9)
-        """)
-        before = target.read_text(encoding="utf-8")
-        assert fix_paths([tmp_path]) == []
-        assert target.read_text(encoding="utf-8") == before
-
-    def test_fix_twice_is_a_no_op(self, tmp_path):
-        target = _write(tmp_path, "memory/devices_x.py", """
-            spec = DeviceSpec(read_latency=2e-9)
-        """)
-        assert fix_paths([tmp_path])
-        first = target.read_text(encoding="utf-8")
-        assert fix_paths([tmp_path]) == []
-        assert target.read_text(encoding="utf-8") == first
-
-    def test_select_narrows_the_fixers(self, tmp_path):
-        target = _write(tmp_path, "memory/devices_x.py", """
-            def f(x=[]):
-                return x
-
-            spec = DeviceSpec(read_latency=2e-9)
-        """)
-        fixes = fix_paths([tmp_path], select=["R005"])
-        assert {f.rule_id for f in fixes} == {"R005"}
-        assert "x=[]" in target.read_text(encoding="utf-8")
-
-
-# ----------------------------------------------------------------------
-# Output formats
-# ----------------------------------------------------------------------
 class TestFormats:
     def test_json_format(self, tmp_path, capsys):
         _write(tmp_path, "bad.py", "def f(x=[]):\n    return x\n")
@@ -183,77 +46,3 @@ class TestFormats:
     def test_unknown_format_is_usage_error(self, tmp_path):
         _write(tmp_path, "ok.py", "VALUE = 1\n")
         assert run_lint([str(tmp_path)], fmt="yaml") == 2
-
-    def test_cli_fix_flag(self, tmp_path, capsys):
-        target = _write(tmp_path, "bad.py",
-                        "def f(x=[]):\n    return x\n\n\ndef g(y=[]):\n"
-                        "    return y\n")
-        assert main(["lint", str(tmp_path), "--fix"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("fixed ") == 2
-        assert "if x is None:" in target.read_text(encoding="utf-8")
-
-    def test_cli_deep_flag(self, tmp_path, capsys):
-        _write(tmp_path, "mod.py", """
-            _CACHE = {}
-
-            def work(item):
-                _CACHE[item] = item
-                return item
-
-            def main(pool, items):
-                return pool.submit(work, items[0])
-        """)
-        assert main(["lint", str(tmp_path)]) == 0
-        assert main(["lint", str(tmp_path), "--deep"]) == 1
-        assert "R013" in capsys.readouterr().out
-
-    def test_list_rules_marks_deep_tier(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("R013", "R014", "R015"):
-            line = next(l for l in out.splitlines()
-                        if l.startswith(rule_id))
-            assert line.endswith("(deep)")
-
-
-# ----------------------------------------------------------------------
-# Rule aliases
-# ----------------------------------------------------------------------
-class TestRuleAliases:
-    def test_canonical_id_resolves_aliases(self):
-        assert canonical_id("R001") == "R010"
-        assert canonical_id("r001") == "R010"
-        assert canonical_id("R003") == "R003"
-
-    def test_aliases_of_inverts_the_table(self):
-        assert aliases_of("R010") == ("R001",)
-        assert aliases_of("R001") == ("R001",)
-        assert aliases_of("R003") == ()
-
-    def test_select_by_alias_runs_the_successor(self, tmp_path):
-        _write(tmp_path, "bad_policy.py", """
-            class UncountedPolicy(HybridMemoryPolicy):
-                name = "uncounted"
-
-                def access(self, page, is_write):
-                    self.mm.serve_hit(page, is_write)
-        """)
-        findings = lint_paths([tmp_path], select=["R001"])
-        assert findings and all(f.rule_id == "R010" for f in findings)
-
-    def test_noqa_by_alias_suppresses_successor(self, tmp_path):
-        source = textwrap.dedent("""
-            class UncountedPolicy(HybridMemoryPolicy):
-                name = "uncounted"
-
-                def access(self, page, is_write):
-                    self.mm.serve_hit(page, is_write)
-        """)
-        target = _write(tmp_path, "bad_policy.py", source)
-        findings = lint_paths([tmp_path], select=["R010"])
-        assert len(findings) == 1
-        lines = source.splitlines()
-        lines[findings[0].line - 1] += "  # noqa: R001"
-        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert lint_paths([tmp_path], select=["R010"]) == []

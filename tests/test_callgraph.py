@@ -1,4 +1,4 @@
-"""Tests for the interprocedural layer: call graph and summaries."""
+"""Tests for the perf tier's project call graph."""
 
 from __future__ import annotations
 
@@ -7,14 +7,13 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis.context import SourceFile
-from repro.analysis.interproc.callgraph import (
+from repro.analysis.perf.callgraph import (
     CallGraph,
     build_aliases,
     build_module_index,
     indexed,
     module_name,
 )
-from repro.analysis.interproc.summaries import summarize
 
 
 def _src(tmp_path: Path, name: str, source: str) -> SourceFile:
@@ -66,25 +65,25 @@ class TestModuleIndex:
         assert f"{module}.Box.get" in qnames
         assert index.classes == {"Box": []}
 
-    def test_globals_imports_and_marker(self, tmp_path):
+    def test_import_aliases(self, tmp_path):
         src = _src(tmp_path, "mod.py", """
             import json
+            import numpy as np
             from collections import deque as dq
-
-            LIMIT = 4
-            _CACHE = {}  # repro: worker-local
+            from .sibling import helper
         """)
         index = build_module_index(src)
-        assert set(index.module_globals) == {"LIMIT", "_CACHE"}
-        assert index.worker_local == frozenset({"_CACHE"})
         assert index.imports["json"] == "json"
+        assert index.imports["np"] == "numpy"
         assert index.imports["dq"] == "collections.deque"
+        assert index.imports["helper"] == f"{tmp_path.name}.sibling.helper"
 
     def test_index_cache_reuses_until_file_changes(self, tmp_path):
         src = _src(tmp_path, "mod.py", "X = 1\n")
         first = indexed(src)
         assert indexed(src) is first
-        src.path.write_text("X = 1\nY = 22\n", encoding="utf-8")
+        src.path.write_text("X = 1\ndef y():\n    return 2\n",
+                            encoding="utf-8")
         fresh = SourceFile(
             path=src.path,
             text=src.path.read_text(encoding="utf-8"),
@@ -92,7 +91,7 @@ class TestModuleIndex:
         )
         second = indexed(fresh)
         assert second is not first
-        assert "Y" in second.module_globals
+        assert [info.name for info in second.functions] == ["y"]
 
 
 # ----------------------------------------------------------------------
@@ -181,27 +180,9 @@ class TestResolution:
         assert f"{module}.Manager.record_request" in \
             graph.edges[f"{module}.kernel"]
 
-    def test_unknown_calls_are_recorded(self, tmp_path):
-        src = _src(tmp_path, "mod.py", """
-            def entry(hook):
-                hook()
-        """)
-        graph = CallGraph.build([src])
-        module = next(iter(graph.indexes.values())).module
-        assert graph.unknown_calls[f"{module}.entry"] == (3,)
-
-    def test_builtins_are_not_unknown(self, tmp_path):
-        src = _src(tmp_path, "mod.py", """
-            def entry(items):
-                return sorted(len(item) for item in items)
-        """)
-        graph = CallGraph.build([src])
-        module = next(iter(graph.indexes.values())).module
-        assert f"{module}.entry" not in graph.unknown_calls
-
 
 # ----------------------------------------------------------------------
-# Reachability and seed discovery
+# Reachability
 # ----------------------------------------------------------------------
 class TestReachability:
     def test_chain_and_depth_bound(self, tmp_path):
@@ -222,85 +203,3 @@ class TestReachability:
         assert full[c] == (a, b, c)
         shallow = graph.reachable([a], max_depth=1)
         assert b in shallow and c not in shallow
-
-    def test_pool_submissions_found(self, tmp_path):
-        src = _src(tmp_path, "mod.py", """
-            def work(item):
-                return item
-
-            def main(pool, items):
-                pool.submit(work, items[0])
-                pool.imap_unordered(work, items)
-        """)
-        graph = CallGraph.build([src])
-        module = next(iter(graph.indexes.values())).module
-        submitted = graph.pool_submissions()
-        assert f"{module}.work" in submitted
-        assert submitted[f"{module}.work"].startswith(f"{module}.main:")
-
-
-# ----------------------------------------------------------------------
-# Summaries
-# ----------------------------------------------------------------------
-class TestSummaries:
-    def test_effects_propagate_transitively(self, tmp_path):
-        src = _src(tmp_path, "mod.py", """
-            STATE = {}
-
-            def sink(key):
-                STATE[key] = key
-
-            def middle(key):
-                sink(key)
-
-            def entry(key):
-                middle(key)
-        """)
-        graph = CallGraph.build([src])
-        module = next(iter(graph.indexes.values())).module
-        summaries = summarize(graph, [src])
-        slot = f"{module}:STATE"
-        assert slot in summaries.direct[f"{module}.sink"].summary \
-            .mutates_globals
-        assert summaries.direct[f"{module}.entry"].summary \
-            .mutates_globals == frozenset()
-        assert slot in summaries.transitive[f"{module}.entry"] \
-            .mutates_globals
-
-    def test_emits_detected_through_alias(self, tmp_path):
-        src = _src(tmp_path, "mod.py", """
-            def kernel(mm, page):
-                bus = mm.events
-                if bus is not None:
-                    bus.page_fault(page=page)
-        """)
-        graph = CallGraph.build([src])
-        module = next(iter(graph.indexes.values())).module
-        summaries = summarize(graph, [src])
-        assert summaries.direct[f"{module}.kernel"].summary.emits_events
-
-    def test_param_mutation_stays_direct_only(self, tmp_path):
-        src = _src(tmp_path, "mod.py", """
-            def sink(box):
-                box.append(1)
-
-            def entry(box):
-                sink(box)
-        """)
-        graph = CallGraph.build([src])
-        module = next(iter(graph.indexes.values())).module
-        summaries = summarize(graph, [src])
-        assert "box" in summaries.transitive[f"{module}.sink"] \
-            .mutates_params
-        assert summaries.transitive[f"{module}.entry"] \
-            .mutates_params == frozenset()
-
-    def test_unknown_call_taints_summary(self, tmp_path):
-        src = _src(tmp_path, "mod.py", """
-            def entry(hook):
-                hook()
-        """)
-        graph = CallGraph.build([src])
-        module = next(iter(graph.indexes.values())).module
-        summaries = summarize(graph, [src])
-        assert summaries.transitive[f"{module}.entry"].calls_unknown

@@ -9,9 +9,13 @@ the batch.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.executor import (
     ExecutorError,
     ParallelExecutor,
@@ -133,6 +137,30 @@ GRID = [small(workload, policy)
         for policy in ("proposed", "clock-dwf", "dram-only")]
 
 
+#: Runs a cache-less spec list serially twice in one process, the
+#: second pass in reverse order, and prints both passes' ``to_dict``s.
+_RERUN_SCRIPT = """
+import json
+
+from repro.experiments.executor import ParallelExecutor
+from repro.experiments.runspec import RunSpec
+
+specs = [RunSpec.core(workload, policy, engine=engine,
+                      request_scale=1 / 4000, footprint_scale=1 / 256)
+         for workload in ("dedup", "raytrace")
+         for policy, engine in (("proposed", "simulate"),
+                                ("eager-migration", "simulate"),
+                                ("clock-dwf", "simulate"),
+                                ("proposed", "analytic"))]
+first = ParallelExecutor(jobs=1).submit(specs)
+second = ParallelExecutor(jobs=1).submit(specs[::-1])[::-1]
+print(json.dumps([[r.to_dict() for r in first],
+                  [r.to_dict() for r in second]]))
+"""
+
+SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
+
+
 class TestParallelExecutor:
     def test_parallel_matches_serial_exactly(self):
         serial = ParallelExecutor(jobs=1).submit(GRID)
@@ -173,6 +201,23 @@ class TestParallelExecutor:
         # ... and the crash was retried before being reported
         assert executor.stats.retries >= 1
         assert executor.stats.failures == 1
+
+    def test_serial_rerun_in_reverse_order_is_identical(self):
+        # Per-process state (rendered-workload and profile caches, the
+        # policy registry) must never leak from one run into another:
+        # a second serial pass in reverse order gives every spec a
+        # different predecessor, so any run that reads state an earlier
+        # run wrote diverges.  A fresh interpreter makes the check
+        # independent of what earlier tests left in this process.
+        done = subprocess.run(
+            [sys.executable, "-c", _RERUN_SCRIPT],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, (SRC_ROOT, os.environ.get("PYTHONPATH"))))},
+            capture_output=True, text=True, timeout=300, check=True)
+        first, second = json.loads(done.stdout.strip().splitlines()[-1])
+        assert len(first) == len(second) == 8
+        for one, other in zip(first, second):
+            assert one == other
 
     def test_execute_specs_convenience(self):
         (result,) = execute_specs([small()])

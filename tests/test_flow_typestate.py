@@ -1,236 +1,137 @@
-"""Tests for the page life-cycle typestate rules (R008/R009)."""
+"""The page life-cycle protocol (formerly lint rules R008/R009), at run time.
+
+A page is absent (on disk) or resident; eviction makes it absent, a
+fault fill makes it resident, and hits, migrations, swaps and DRAM
+copies need it resident.  The static typestate rules that judged call
+sequences are gone: :class:`~repro.mmu.manager.MemoryManager` refuses
+every out-of-protocol transition when it happens.  Each case below
+seeds one of the sequences R008 used to report into a running policy
+and checks the manager stops it; the legal sequences run clean under
+the sanitizer.
+"""
 
 from __future__ import annotations
 
-import textwrap
-from pathlib import Path
+from types import SimpleNamespace
 
-import repro
-from repro.analysis import lint_paths
+import pytest
 
-
-def _lint_snippet(tmp_path: Path, source: str, select=None):
-    (tmp_path / "mod.py").write_text(textwrap.dedent(source), encoding="utf-8")
-    return lint_paths([tmp_path], select=select)
+from repro.mmu.page import PageLocation
+from repro.mmu.simulator import simulate
+from repro.policies.base import HybridMemoryPolicy
+from repro.trace.trace import Trace
 
 
-# ----------------------------------------------------------------------
-# R008 — the page life-cycle protocol
-# ----------------------------------------------------------------------
+def _walk_trace() -> Trace:
+    """36 requests over 18 pages on 12 NVM frames: a forward pass of
+    faults and evictions, then a backward pass of 12 hits, 6 faults."""
+    pairs = [(page, page % 3 == 0) for page in range(18)]
+    pairs += [(page, page % 2 == 0) for page in reversed(range(18))]
+    return Trace.from_pairs(pairs, name="walk")
+
+
+class _NvmPolicy(HybridMemoryPolicy):
+    """Correct NVM-only servicing; subclasses seed one protocol slip."""
+
+    name = "test-nvm"
+
+    def access(self, page: int, is_write: bool) -> None:
+        mm = self.mm
+        mm.record_request(is_write)
+        if mm.is_resident(page):
+            self._hit(page, is_write)
+            return
+        if not mm.has_free(PageLocation.NVM):
+            self._make_room(self._victim(), page)
+        mm.fault_fill(page, PageLocation.NVM, is_write)
+
+    def _victim(self) -> int:
+        return next(entry.page for entry in self.mm.page_table.entries()
+                    if entry.location is PageLocation.NVM)
+
+    def _hit(self, page: int, is_write: bool) -> None:
+        self.mm.serve_hit(page, is_write)
+
+    def _make_room(self, victim: int, page: int) -> None:
+        self.mm.evict_to_disk(victim)
+
+
+def _run(spec, policy_class):
+    return simulate(_walk_trace(), spec, policy_class, sanitize=True)
+
+
 class TestR008:
-    def test_double_eviction_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
+    def test_double_eviction_flagged(self, small_spec):
+        class P(_NvmPolicy):
+            def _make_room(self, victim: int, page: int) -> None:
+                self.mm.evict_to_disk(victim)
+                self.mm.evict_to_disk(victim)
 
-                def _make_room(self, victim):
-                    self.mm.evict_to_disk(victim)
-                    self.mm.evict_to_disk(victim)
-        """, select=["R008"])
-        assert len(findings) == 1
-        assert "evicts `victim` twice" in findings[0].message
-        assert findings[0].line == 7
+        with pytest.raises(KeyError):
+            _run(small_spec, P)
 
-    def test_migrate_after_evict_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
+    def test_migrate_after_evict_flagged(self, small_spec):
+        class P(_NvmPolicy):
+            def _make_room(self, victim: int, page: int) -> None:
+                self.mm.evict_to_disk(victim)
+                self.mm.migrate(victim, PageLocation.DRAM)
 
-                def _demote(self, victim):
-                    self.mm.evict_to_disk(victim)
-                    self.mm.migrate(victim, DEST)
-        """, select=["R008"])
-        assert len(findings) == 1
-        assert "migrates `victim` after it was evicted" in findings[0].message
+        with pytest.raises(KeyError, match="is not resident"):
+            _run(small_spec, P)
 
-    def test_serve_hit_after_evict_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
+    def test_serve_hit_after_evict_flagged(self, small_spec):
+        class P(_NvmPolicy):
+            def _make_room(self, victim: int, page: int) -> None:
+                self.mm.evict_to_disk(victim)
+                self.mm.serve_hit(victim, False)
 
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-                    self.mm.evict_to_disk(page)
-                    self.mm.serve_hit(page, is_write)
-        """, select=["R008"])
-        assert len(findings) == 1
-        assert "serves a hit on `page`" in findings[0].message
+        with pytest.raises(KeyError, match="is not resident"):
+            _run(small_spec, P)
 
-    def test_fault_fill_while_resident_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
+    def test_fault_fill_while_resident_flagged(self, small_spec):
+        class P(_NvmPolicy):
+            def _hit(self, page: int, is_write: bool) -> None:
+                self.mm.serve_hit(page, is_write)
+                self.mm.fault_fill(page, PageLocation.NVM, is_write)
 
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-                    self.mm.serve_hit(page, is_write)
-                    self.mm.fault_fill(page, DEST, is_write)
-        """, select=["R008"])
-        assert len(findings) == 1
-        assert "fault-fills `page` while it is already resident" \
-            in findings[0].message
+        with pytest.raises(KeyError, match="is already resident"):
+            _run(small_spec, P)
 
-    def test_swap_after_evicting_operand_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
+    def test_swap_after_evicting_operand_flagged(self, small_spec):
+        class P(_NvmPolicy):
+            def _hit(self, page: int, is_write: bool) -> None:
+                self.mm.serve_hit(page, is_write)
+                if self.mm.has_free(PageLocation.DRAM):
+                    self.mm.migrate(page, PageLocation.DRAM)
+                    return
+                victim = next(
+                    entry.page for entry in self.mm.page_table.entries()
+                    if entry.location is PageLocation.DRAM)
+                self.mm.evict_to_disk(victim)
+                self.mm.swap(page, victim)
 
-                def _promote(self, page, victim):
-                    self.mm.evict_to_disk(victim)
-                    self.mm.swap(page, victim)
-        """, select=["R008"])
-        assert len(findings) == 1
-        assert "swaps `victim`" in findings[0].message
+        with pytest.raises(KeyError, match="is not resident"):
+            _run(small_spec, P)
 
-    def test_evict_then_fault_fill_is_legal(self, tmp_path):
-        # The canonical make-room-then-fill sequence must stay clean.
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
+    def test_evict_then_fault_fill_is_legal(self, small_spec):
+        # The canonical make-room-then-fill sequence runs clean.
+        result = _run(small_spec, _NvmPolicy)
+        assert result.accounting.page_faults == 24
+        assert result.accounting.evictions_to_disk == 12
 
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-                    self.mm.evict_to_disk(victim)
-                    self.mm.fault_fill(page, DEST, is_write)
-        """, select=["R008"])
-        assert findings == []
+    def test_attribute_chains_are_tracked(self, small_spec):
+        # The manager tracks the page, however the policy reaches it.
+        class P(_NvmPolicy):
+            def _make_room(self, victim: int, page: int) -> None:
+                node = SimpleNamespace(page=victim)
+                self.mm.evict_to_disk(node.page)
+                self.mm.create_copy(node.page)
 
-    def test_attribute_chains_are_tracked(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
-
-                def _drop(self):
-                    victim = self.lru.pop()
-                    self.mm.evict_to_disk(victim.page)
-                    self.mm.create_copy(victim.page)
-        """, select=["R008"])
-        assert len(findings) == 1
-        assert "`victim.page`" in findings[0].message
-
-    def test_branch_merge_is_not_definite(self, tmp_path):
-        # Evicted on only one path: "maybe absent" is never reported.
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
-
-                def _maybe(self, victim, cond):
-                    if cond:
-                        self.mm.evict_to_disk(victim)
-                    self.mm.migrate(victim, DEST)
-        """, select=["R008"])
-        assert findings == []
-
-    def test_reassignment_invalidates_tracking(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
-
-                def _churn(self):
-                    victim = self.lru.pop()
-                    self.mm.evict_to_disk(victim)
-                    victim = self.lru.pop()
-                    self.mm.evict_to_disk(victim)
-        """, select=["R008"])
-        assert findings == []
-
-    def test_helper_call_invalidates_tracking(self, tmp_path):
-        # Passing the page to a helper may change its state.
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
-
-                def _churn(self, victim):
-                    self.mm.evict_to_disk(victim)
-                    self._refill(victim)
-                    self.mm.serve_hit(victim, False)
-        """, select=["R008"])
-        assert findings == []
-
-    def test_non_policy_class_exempt(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class Recorder:
-                def replay(self, victim):
-                    self.mm.evict_to_disk(victim)
-                    self.mm.evict_to_disk(victim)
-        """, select=["R008"])
-        assert findings == []
-
-    def test_noqa_suppresses(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
-
-                def _make_room(self, victim):
-                    self.mm.evict_to_disk(victim)
-                    self.mm.evict_to_disk(victim)  # noqa: R008
-        """, select=["R008"])
-        assert findings == []
+        with pytest.raises(KeyError, match="is not resident"):
+            _run(small_spec, P)
 
 
-# ----------------------------------------------------------------------
-# R009 — record_request before memory traffic
-# ----------------------------------------------------------------------
 class TestR009:
-    def test_traffic_before_recording_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
-
-                def access(self, page, is_write):
-                    self.mm.serve_hit(page, is_write)
-                    self.mm.record_request(is_write)
-        """, select=["R009"])
-        assert len(findings) == 1
-        assert "before mm.record_request" in findings[0].message
-
-    def test_recording_first_clean(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-                    self.mm.serve_hit(page, is_write)
-        """, select=["R009"])
-        assert findings == []
-
-    def test_helper_may_have_recorded(self, tmp_path):
-        # A self-call degrades to "maybe recorded": no definite violation.
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
-
-                def access(self, page, is_write):
-                    self._count(is_write)
-                    self.mm.serve_hit(page, is_write)
-        """, select=["R009"])
-        assert findings == []
-
-    def test_partial_path_is_not_definite(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
-
-                def access(self, page, is_write):
-                    if is_write:
-                        self.mm.record_request(is_write)
-                    self.mm.serve_hit(page, is_write)
-        """, select=["R009"])
-        assert findings == []  # R010's job, not R009's
-
-    def test_only_access_is_checked(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class P(HybridMemoryPolicy):
-                name = "p"
-
-                def _fill(self, page, is_write):
-                    self.mm.fault_fill(page, DEST, is_write)
-        """, select=["R009"])
-        assert findings == []
-
-
-def test_repo_tree_is_typestate_clean():
-    src_root = Path(repro.__file__).parent
-    findings = lint_paths([src_root], select=["R008", "R009"])
-    assert findings == [], "\n".join(f.render() for f in findings)
+    def test_recording_first_clean(self, small_spec):
+        result = _run(small_spec, _NvmPolicy)
+        assert result.accounting.total_requests == len(_walk_trace())

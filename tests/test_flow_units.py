@@ -1,223 +1,72 @@
-"""Tests for the units-of-measure analysis (rules R006/R007)."""
+"""Units slips in the model files (formerly lint rules R006/R007), at run time.
+
+The dimension analysis that read the model files' unit annotations is
+gone; the literal-equation tests of ``tests/test_models.py`` carry its
+guarantee.  Each golden case seeds one units slip R006/R007 used to
+report into a copy of the shipped model file, loads the copy, and
+checks it no longer evaluates Eq. 1 or Eq. 3 as printed — while the
+unmodified copy does.
+"""
 
 from __future__ import annotations
 
-import shutil
-import textwrap
-from pathlib import Path
+import pytest
 
-import repro
-from repro.analysis import lint_paths
-from repro.analysis.flow.units import (
-    ACCEPTED_DIMS,
-    DIMENSIONLESS,
-    ENERGY,
-    MAX_EXPONENT,
-    POWER,
-    TIME,
-    Dim,
-)
+from tests.test_models import _accounting, _literal_eq1, _literal_eq2, _spec
+from tests.variants import load_variant
 
-SRC_ROOT = Path(repro.__file__).parent
-
-#: The model files whose annotations seed the dimension registry.
-MODEL_FILES = (
-    "memory/devices.py",
-    "memory/specs.py",
-    "memory/accounting.py",
-    "memory/metrics.py",
-    "memory/power.py",
-)
+#: Wall time between requests for the static-power checks (seconds).
+GAP = 100e-9
 
 
-def _lint_snippet(tmp_path: Path, source: str, select=None):
-    (tmp_path / "mod.py").write_text(textwrap.dedent(source), encoding="utf-8")
-    return lint_paths([tmp_path], select=select)
+def _eq3_static(metrics, power) -> tuple[float, float]:
+    """(modelled, printed) static energy per request for ``power``."""
+    acct, spec = _accounting(), _spec()
+    performance = metrics.compute_performance(acct, spec)
+    breakdown = power.compute_power(acct, spec, performance,
+                                    inter_request_gap=GAP)
+    printed = spec.static_power * (performance.memory_time + GAP)
+    return breakdown.static, printed
 
 
-def _copy_model(tmp_path: Path) -> Path:
-    """Copy the real model files into a scratch tree for corruption."""
-    root = tmp_path / "model"
-    root.mkdir()
-    for rel in MODEL_FILES:
-        shutil.copyfile(SRC_ROOT / rel, root / Path(rel).name)
-    return root
-
-
-def _corrupt(root: Path, filename: str, old: str, new: str) -> None:
-    target = root / filename
-    text = target.read_text(encoding="utf-8")
-    assert old in text, f"corruption anchor not found in {filename}: {old!r}"
-    target.write_text(text.replace(old, new), encoding="utf-8")
-
-
-# ----------------------------------------------------------------------
-# The dimension algebra
-# ----------------------------------------------------------------------
-class TestDimAlgebra:
-    def test_power_is_energy_per_time(self):
-        assert ENERGY.div(TIME) == POWER
-        assert POWER.mul(TIME) == ENERGY
-
-    def test_exponent_cap_collapses_to_unknown(self):
-        squared = TIME
-        for _ in range(MAX_EXPONENT):
-            squared = squared.mul(TIME)
-            if squared is None:
-                break
-        assert squared is None
-
-    def test_accepted_dims_are_named_quotients(self):
-        assert TIME in ACCEPTED_DIMS
-        assert ENERGY in ACCEPTED_DIMS
-        assert POWER in ACCEPTED_DIMS
-        assert DIMENSIONLESS in ACCEPTED_DIMS
-        # time per byte (bandwidth⁻¹) is a quotient of named dims
-        assert TIME.div(Dim(byte=1)) in ACCEPTED_DIMS
-        # time squared is not
-        assert TIME.mul(TIME) not in ACCEPTED_DIMS
-
-
-# ----------------------------------------------------------------------
-# Snippet-level behaviour
-# ----------------------------------------------------------------------
-class TestUnitsRules:
-    def test_adding_time_and_energy_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            def f(t: Seconds, e: Joules) -> Seconds:
-                return t + e
-        """, select=["R006"])
-        assert len(findings) == 1
-        assert "add/subtract" in findings[0].message
-
-    def test_consistent_arithmetic_clean(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            def f(t: Seconds, e: Joules, n: Count) -> Watts:
-                return e * n / (t + 3 * NANOSECOND)
-        """, select=["R006", "R007"])
-        assert findings == []
-
-    def test_wrong_return_dimension_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            def f(t: Seconds) -> Joules:
-                return t
-        """, select=["R006"])
-        assert len(findings) == 1
-        assert "return value" in findings[0].message
-
-    def test_double_conversion_flagged_as_exotic(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            def f(t: Seconds):
-                x = t * NANOSECOND
-        """, select=["R007"])
-        assert len(findings) == 1
-        assert "double unit conversion" in findings[0].message
-
-    def test_branches_with_different_dims_degrade_to_unknown(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            def f(flag, t: Seconds, e: Joules) -> Seconds:
-                if flag:
-                    x = t
-                else:
-                    x = e
-                return x
-        """, select=["R006", "R007"])
-        assert findings == []  # definite violations only
-
-    def test_scalar_literals_are_polymorphic(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            def f(t: Seconds) -> Seconds:
-                return 2 * t + 5e-9
-        """, select=["R006", "R007"])
-        assert findings == []
-
-    def test_parameter_shadows_registry_name(self, tmp_path):
-        # A local named like an annotated field elsewhere must not
-        # inherit that field's dimension.
-        findings = _lint_snippet(tmp_path, """
-            class Box:
-                fault_time: Seconds
-
-            def f(fault_time, e: Joules):
-                return fault_time + e
-        """, select=["R006"])
-        assert findings == []
-
-    def test_multiplicative_growth_in_loop_terminates(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            def f(n, t: Seconds):
-                while n:
-                    t = t * NANOSECOND
-                    n -= 1
-                return t
-        """, select=["R007"])
-        # The exponent cap bounds the lattice so the fixpoint settles;
-        # the joined loop state is no longer definite, so the analysis
-        # (definite-violations-only) stays silent rather than guessing.
-        assert findings == []
-
-    def test_noqa_suppresses(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            def f(t: Seconds, e: Joules):
-                return t + e  # noqa: R006
-        """, select=["R006"])
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# Golden tests over the real model files
-# ----------------------------------------------------------------------
 class TestGoldenModelFiles:
-    def test_pristine_copies_are_clean(self, tmp_path):
-        root = _copy_model(tmp_path)
-        findings = lint_paths([root], select=["R006", "R007"])
-        assert findings == [], "\n".join(f.render() for f in findings)
+    def test_pristine_copies_are_clean(self):
+        metrics = load_variant("memory/metrics.py")
+        power = load_variant("memory/power.py")
+        acct, spec = _accounting(), _spec()
+        assert metrics.compute_performance(acct, spec).amat \
+            == pytest.approx(_literal_eq1(acct, spec))
+        assert power.compute_power(acct, spec).dynamic_total \
+            == pytest.approx(_literal_eq2(acct, spec))
+        modelled, printed = _eq3_static(metrics, power)
+        assert modelled == pytest.approx(printed)
 
-    def test_latency_energy_swap_in_power_is_one_r006(self, tmp_path):
-        # pJ<->J-style slip: an energy term built from a latency field.
-        root = _copy_model(tmp_path)
-        _corrupt(
-            root, "power.py",
-            "+ accounting.nvm_write_hits * nvm.write_energy",
-            "+ accounting.nvm_write_hits * nvm.write_latency",
-        )
-        findings = lint_paths([root], select=["R006", "R007"])
-        assert [f.rule_id for f in findings] == ["R006"]
-        assert findings[0].path.endswith("power.py")
-        assert "incompatible dimensions" in findings[0].message
-
-    def test_double_ns_conversion_in_metrics_flagged(self, tmp_path):
+    def test_double_ns_conversion_in_metrics_flagged(self):
         # ns<->s slip: "converting" an already-seconds latency by a
-        # stray NANOSECOND factor makes the term time-squared.
-        root = _copy_model(tmp_path)
-        _corrupt(
-            root, "metrics.py",
-            "fault_time = accounting.page_faults * disk.access_latency / total",
-            "fault_time = accounting.page_faults * disk.access_latency"
-            " * NANOSECOND / total",
+        # stray NANOSECOND factor.
+        metrics = load_variant(
+            "memory/metrics.py",
+            ("from repro.units import",
+             "from repro.memory.devices import NANOSECOND\n"
+             "from repro.units import"),
+            ("fault_time = accounting.page_faults * disk.access_latency"
+             " / total",
+             "fault_time = accounting.page_faults * disk.access_latency"
+             " * NANOSECOND / total"),
         )
-        findings = lint_paths([root], select=["R006", "R007"])
-        by_rule = sorted(f.rule_id for f in findings)
-        # the exotic s^2 value at the assignment (R007) and the
-        # mismatched fault_time sink (R006)
-        assert by_rule == ["R006", "R007"]
-        assert all(f.path.endswith("metrics.py") for f in findings)
+        acct, spec = _accounting(), _spec()
+        assert metrics.compute_performance(acct, spec).amat \
+            != pytest.approx(_literal_eq1(acct, spec))
 
-    def test_static_term_missing_time_factor_flagged(self, tmp_path):
+    def test_static_term_missing_time_factor_flagged(self):
         # Eq. 3 regression: charging raw watts as joules.
-        root = _copy_model(tmp_path)
-        _corrupt(
-            root, "power.py",
-            "static = spec.static_power * (\n"
-            "        performance.memory_time + inter_request_gap\n"
-            "    )",
-            "static = spec.static_power",
+        power = load_variant(
+            "memory/power.py",
+            ("static = spec.static_power * (\n"
+             "        performance.memory_time + inter_request_gap\n"
+             "    )",
+             "static = spec.static_power"),
         )
-        findings = lint_paths([root], select=["R006", "R007"])
-        assert [f.rule_id for f in findings] == ["R006"]
-        assert "`static`" in findings[0].message
-
-
-def test_repo_tree_is_units_clean():
-    findings = lint_paths([SRC_ROOT], select=["R006", "R007"])
-    assert findings == [], "\n".join(f.render() for f in findings)
+        modelled, printed = _eq3_static(load_variant("memory/metrics.py"),
+                                        power)
+        assert modelled != pytest.approx(printed)

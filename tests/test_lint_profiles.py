@@ -27,17 +27,6 @@ _POLICY = """
             self.mm.record_request(is_write)
 """
 
-_WORKER_MUTATION = """
-    _CACHE = {}
-
-    def work(item):
-        _CACHE[item] = item
-        return item
-
-    def main(pool, items):
-        return pool.submit(work, items[0])
-"""
-
 
 def _build_project(tmp_path: Path) -> Path:
     proj = tmp_path / "proj"
@@ -49,8 +38,6 @@ def _build_project(tmp_path: Path) -> Path:
         "examples/demo.py": "import random\n" + textwrap.dedent(
             _POLICY.format(name="ShowcasePolicy", key="showcase")),
         "src/registry.py": 'FACTORIES = {}\n',
-        "src/worker.py": _WORKER_MUTATION,
-        "tests/worker_helper.py": _WORKER_MUTATION,
     }.items():
         target = proj / rel
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -69,15 +56,11 @@ class TestDisabledFor:
     def test_nested_test_dirs_match_by_part(self):
         assert "R002" in disabled_for(Path("a/b/tests/unit/test_x.py"))
 
-    def test_profiles_cover_deep_tier(self):
-        for profile in PROFILES.values():
-            assert {"R013", "R014", "R015"} <= profile
-
 
 class TestProjectTree:
     def test_profiles_end_to_end(self, tmp_path):
         proj = _build_project(tmp_path)
-        findings = lint_paths([proj], deep=True)
+        findings = lint_paths([proj])
         got = {
             (str(Path(f.path).relative_to(proj)), f.rule_id)
             for f in findings
@@ -87,16 +70,16 @@ class TestProjectTree:
             ("src/sim.py", "R002"),
             ("src/sim.py", "R003"),
             ("src/policies.py", "R004"),
-            ("src/worker.py", "R013"),
-            # tests keep R003 but drop R002/R004 and the deep tier.
+            # tests keep R003 but drop R002/R004.
             ("tests/test_sim.py", "R003"),
-            # examples drop R004 and the deep tier but keep R002/R003.
+            # examples drop R004 but keep R002/R003.
             ("examples/demo.py", "R002"),
         }, "\n".join(f.render() for f in findings)
 
     def test_select_still_respects_profiles(self, tmp_path):
         proj = _build_project(tmp_path)
-        findings = lint_paths([proj], select=["R013"])
+        findings = lint_paths([proj], select=["R002"])
         assert {f.path for f in findings} == {
-            str(proj / "src" / "worker.py")
+            str(proj / "src" / "sim.py"),
+            str(proj / "examples" / "demo.py"),
         }

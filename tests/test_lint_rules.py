@@ -1,17 +1,29 @@
-"""Tests for the custom lint pass (repro.analysis rules R002-R012)."""
+"""Tests for the custom lint pass (repro.analysis rules R002-R005, R011).
+
+The R010/R012 classes at the end keep the cases of two retired rules,
+run against the runtime sanitizer that now enforces their contract.
+"""
 
 from __future__ import annotations
 
-import ast
 import textwrap
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.analysis import DEFAULT_RULES, lint_paths
-from repro.analysis.rules import analyze_record_request_paths
+from repro.analysis.lint import lint_paths
+from repro.analysis.rules import DEFAULT_RULES
+from repro.analysis.sanitizer import SanitizerError
 from repro.cli import main
+from repro.memory.specs import HybridMemorySpec
+from repro.mmu.manager import MemoryManager
+from repro.mmu.page import PageLocation
+from repro.mmu.simulator import simulate
+from repro.policies.base import HybridMemoryPolicy
+from repro.policies.registry import policy_factory
+from repro.trace.trace import Trace
+from repro.workloads.synthetic import zipf_workload
 
 
 def _lint_snippet(tmp_path: Path, source: str,
@@ -21,443 +33,6 @@ def _lint_snippet(tmp_path: Path, source: str,
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source), encoding="utf-8")
     return lint_paths([tmp_path], select=select)
-
-
-def _access_counts(source: str) -> set[int]:
-    """Path analysis of the single function in ``source``."""
-    tree = ast.parse(textwrap.dedent(source))
-    func = next(
-        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-    )
-    return analyze_record_request_paths(func)
-
-
-# ----------------------------------------------------------------------
-# R010 — the record_request path analysis (fixpoint engine)
-# ----------------------------------------------------------------------
-class TestPathAnalysis:
-    def test_straight_line_once(self):
-        assert _access_counts("""
-            def access(self, page, is_write):
-                self.mm.record_request(is_write)
-                self.mm.serve_hit(page, is_write)
-        """) == {1}
-
-    def test_never_called(self):
-        assert _access_counts("""
-            def access(self, page, is_write):
-                self.mm.serve_hit(page, is_write)
-        """) == {0}
-
-    def test_double_call(self):
-        assert _access_counts("""
-            def access(self, page, is_write):
-                self.mm.record_request(is_write)
-                self.mm.record_request(is_write)
-        """) == {2}
-
-    def test_branch_skips(self):
-        assert _access_counts("""
-            def access(self, page, is_write):
-                if is_write:
-                    self.mm.record_request(is_write)
-        """) == {0, 1}
-
-    def test_branch_both_arms_ok(self):
-        assert _access_counts("""
-            def access(self, page, is_write):
-                if is_write:
-                    self.mm.record_request(True)
-                else:
-                    self.mm.record_request(False)
-                return None
-        """) == {1}
-
-    def test_early_return_after_recording(self):
-        assert _access_counts("""
-            def access(self, page, is_write):
-                self.mm.record_request(is_write)
-                if self.mm.is_resident(page):
-                    self.mm.serve_hit(page, is_write)
-                    return
-                self.mm.fault_fill(page, DEST, is_write)
-        """) == {1}
-
-    def test_raise_paths_are_exempt(self):
-        # Error paths need not charge the request.
-        assert _access_counts("""
-            def access(self, page, is_write):
-                if page < 0:
-                    raise ValueError("bad page")
-                self.mm.record_request(is_write)
-        """) == {1}
-
-    def test_call_inside_loop_may_repeat(self):
-        counts = _access_counts("""
-            def access(self, page, is_write):
-                for _ in range(2):
-                    self.mm.record_request(is_write)
-        """)
-        assert 0 in counts and 2 in counts  # zero or many iterations
-
-    def test_call_in_try_with_returning_handler(self):
-        # The handler may run before the body's call happened.
-        counts = _access_counts("""
-            def access(self, page, is_write):
-                try:
-                    self.mm.record_request(is_write)
-                    self.mm.serve_hit(page, is_write)
-                except KeyError:
-                    return
-        """)
-        assert counts == {0, 1}
-
-    def test_thirty_branch_policy_is_tractable(self):
-        # The PR 1 path enumerator walked every path combination; the
-        # fixpoint engine must settle in one worklist pass regardless
-        # of branch count.
-        lines = ["def access(self, page, is_write):",
-                 "    self.mm.record_request(is_write)"]
-        for i in range(30):
-            lines.append(f"    if page % {i + 2}:")
-            lines.append("        self.mm.serve_hit(page, is_write)")
-        assert _access_counts("\n".join(lines)) == {1}
-
-    def test_thirty_branch_skip_detected(self):
-        lines = ["def access(self, page, is_write):"]
-        for i in range(30):
-            lines.append(f"    if page % {i + 2}:")
-            lines.append("        self.mm.serve_hit(page, is_write)")
-        lines.append("    if is_write:")
-        lines.append("        self.mm.record_request(is_write)")
-        assert _access_counts("\n".join(lines)) == {0, 1}
-
-    def test_nested_function_does_not_count(self):
-        assert _access_counts("""
-            def access(self, page, is_write):
-                def later():
-                    self.mm.record_request(is_write)
-                self.mm.record_request(is_write)
-        """) == {1}
-
-
-class TestR010:
-    def test_clean_policy_passes(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class GoodPolicy(HybridMemoryPolicy):
-                name = "good"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-                    if self.mm.is_resident(page):
-                        self.mm.serve_hit(page, is_write)
-        """, select=["R010"])
-        assert findings == []
-
-    def test_missing_call_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class BadPolicy(HybridMemoryPolicy):
-                name = "bad"
-
-                def access(self, page, is_write):
-                    self.mm.serve_hit(page, is_write)
-        """, select=["R010"])
-        assert len(findings) == 1
-        assert findings[0].rule_id == "R010"
-        assert "never calls" in findings[0].message
-
-    def test_conditional_skip_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class SometimesPolicy(HybridMemoryPolicy):
-                name = "sometimes"
-
-                def access(self, page, is_write):
-                    if is_write:
-                        self.mm.record_request(is_write)
-                    self.mm.serve_hit(page, is_write)
-        """, select=["R010"])
-        assert len(findings) == 1
-        assert "skips" in findings[0].message
-
-    def test_double_call_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class EagerPolicy(HybridMemoryPolicy):
-                name = "eager"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-                    self.mm.record_request(is_write)
-        """, select=["R010"])
-        assert len(findings) == 1
-        assert "more than once" in findings[0].message
-
-    def test_abstract_class_exempt(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            import abc
-
-            class PartialPolicy(HybridMemoryPolicy):
-                @abc.abstractmethod
-                def access(self, page, is_write):
-                    ...
-        """, select=["R010"])
-        assert findings == []
-
-    def test_non_policy_class_exempt(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class Replayer:
-                def access(self, page, is_write):
-                    self.log.append(page)
-        """, select=["R010"])
-        assert findings == []
-
-    def test_transitive_subclass_checked(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class MiddlePolicy(HybridMemoryPolicy):
-                name = "middle"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-
-            class Leaf(MiddlePolicy):
-                name = "leaf"
-
-                def access(self, page, is_write):
-                    self.mm.serve_hit(page, is_write)
-        """, select=["R010"])
-        assert [f.message.split(".")[0] for f in findings] == ["Leaf"]
-
-    def test_noqa_suppresses(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class WaivedPolicy(HybridMemoryPolicy):
-                name = "waived"
-
-                def access(self, page, is_write):  # noqa: R010
-                    self.mm.serve_hit(page, is_write)
-        """, select=["R010"])
-        assert findings == []
-
-    def test_noqa_r001_alias_still_suppresses(self, tmp_path):
-        # R010 supersedes R001; historical suppressions keep working.
-        findings = _lint_snippet(tmp_path, """
-            class WaivedPolicy(HybridMemoryPolicy):
-                name = "waived"
-
-                def access(self, page, is_write):  # noqa: R001
-                    self.mm.serve_hit(page, is_write)
-        """, select=["R010"])
-        assert findings == []
-
-    def test_select_r001_alias_selects_r010(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class BadPolicy(HybridMemoryPolicy):
-                name = "bad"
-
-                def access(self, page, is_write):
-                    self.mm.serve_hit(page, is_write)
-        """, select=["R001"])
-        assert [f.rule_id for f in findings] == ["R010"]
-
-
-# ----------------------------------------------------------------------
-# R012 — the batched-kernel accounting contract
-# ----------------------------------------------------------------------
-class TestR012:
-    def test_deferred_counter_kernel_passes(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class FastPolicy(HybridMemoryPolicy):
-                name = "fast"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-
-                def access_batch(self, pages, writes):
-                    record_request = self.mm.record_request
-                    read_requests = 0
-                    write_requests = 0
-                    try:
-                        for page, is_write in zip(pages, writes):
-                            if page not in self.resident:
-                                record_request(is_write)
-                                self.fault(page, is_write)
-                                continue
-                            if is_write:
-                                write_requests += 1
-                            else:
-                                read_requests += 1
-                    finally:
-                        self.mm.accounting.read_requests += read_requests
-                        self.mm.accounting.write_requests += write_requests
-        """, select=["R012"])
-        assert findings == []
-
-    def test_delegating_loop_passes(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class PlainPolicy(HybridMemoryPolicy):
-                name = "plain"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-
-                def access_batch(self, pages, writes):
-                    access = self.access
-                    for page, is_write in zip(pages, writes):
-                        access(page, is_write)
-        """, select=["R012"])
-        assert findings == []
-
-    def test_unaccounted_fast_path_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class LeakyPolicy(HybridMemoryPolicy):
-                name = "leaky"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-
-                def access_batch(self, pages, writes):
-                    for page, is_write in zip(pages, writes):
-                        if page in self.resident:
-                            self.serve(page, is_write)
-                        else:
-                            self.mm.record_request(is_write)
-                            self.fault(page, is_write)
-        """, select=["R012"])
-        assert len(findings) == 1
-        assert findings[0].rule_id == "R012"
-        assert "skips accounting" in findings[0].message
-
-    def test_never_accounting_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class SilentPolicy(HybridMemoryPolicy):
-                name = "silent"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-
-                def access_batch(self, pages, writes):
-                    for page, is_write in zip(pages, writes):
-                        self.serve(page, is_write)
-        """, select=["R012"])
-        assert len(findings) == 1
-        assert "never accounts" in findings[0].message
-
-    def test_double_accounting_flagged(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class GreedyPolicy(HybridMemoryPolicy):
-                name = "greedy"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-
-                def access_batch(self, pages, writes):
-                    read_requests = 0
-                    for page, is_write in zip(pages, writes):
-                        self.mm.record_request(is_write)
-                        read_requests += 1
-        """, select=["R012"])
-        assert len(findings) == 1
-        assert "more than once" in findings[0].message
-
-    def test_raising_iteration_path_exempt(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class StrictPolicy(HybridMemoryPolicy):
-                name = "strict"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-
-                def access_batch(self, pages, writes):
-                    for page, is_write in zip(pages, writes):
-                        if page < 0:
-                            raise ValueError(page)
-                        self.mm.record_request(is_write)
-                        self.serve(page, is_write)
-        """, select=["R012"])
-        assert findings == []
-
-    def test_flush_and_prologue_not_constrained(self, tmp_path):
-        # Accounting events outside the request loops (the hoisting
-        # prologue, the finally flush) must not count toward any path.
-        findings = _lint_snippet(tmp_path, """
-            class FlushPolicy(HybridMemoryPolicy):
-                name = "flush"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-
-                def access_batch(self, pages, writes):
-                    write_requests = 0
-                    try:
-                        for page, is_write in zip(pages, writes):
-                            if is_write:
-                                write_requests += 1
-                            else:
-                                self.mm.record_request(False)
-                    finally:
-                        self.mm.accounting.write_requests += write_requests
-        """, select=["R012"])
-        assert findings == []
-
-    def test_non_request_loop_ignored(self, tmp_path):
-        # A loop over internal state (not the request parameters) is
-        # not a request loop, whatever accounting it performs.
-        findings = _lint_snippet(tmp_path, """
-            class SweepPolicy(HybridMemoryPolicy):
-                name = "sweep"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-
-                def access_batch(self, pages, writes):
-                    for node in self.queue:
-                        node.referenced = False
-                    access = self.access
-                    for page, is_write in zip(pages, writes):
-                        access(page, is_write)
-        """, select=["R012"])
-        assert findings == []
-
-    def test_nested_inner_loop_does_not_double_count(self, tmp_path):
-        # An inner cascade loop (evictions) inside the request loop
-        # contributes no accounting; the path still counts exactly one.
-        findings = _lint_snippet(tmp_path, """
-            class CascadePolicy(HybridMemoryPolicy):
-                name = "cascade"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-
-                def access_batch(self, pages, writes):
-                    for page, is_write in zip(pages, writes):
-                        self.mm.record_request(is_write)
-                        while self.full():
-                            self.evict()
-        """, select=["R012"])
-        assert findings == []
-
-    def test_noqa_suppresses(self, tmp_path):
-        findings = _lint_snippet(tmp_path, """
-            class WaivedPolicy(HybridMemoryPolicy):
-                name = "waived"
-
-                def access(self, page, is_write):
-                    self.mm.record_request(is_write)
-
-                def access_batch(self, pages, writes):
-                    for page, is_write in zip(pages, writes):  # noqa: R012
-                        self.serve(page, is_write)
-        """, select=["R012"])
-        assert findings == []
-
-    def test_shipped_kernels_pass(self):
-        root = Path(repro.__file__).parent
-        findings = lint_paths(
-            [root / "core" / "migration.py",
-             root / "policies" / "single_tier.py",
-             root / "policies" / "clock_dwf.py",
-             root / "policies" / "base.py"],
-            select=["R012"],
-        )
-        assert findings == []
 
 
 # ----------------------------------------------------------------------
@@ -637,6 +212,15 @@ class TestLintDriver:
         """, select=["R003"])
         assert [f.line for f in findings] == sorted(f.line for f in findings)
 
+    def test_noqa_silences_only_listed_rules(self, tmp_path):
+        findings = _lint_snippet(tmp_path, """
+            import random  # noqa: r003, R002
+
+            def f(x=[]):  # noqa: R002
+                return x
+        """)
+        assert [f.rule_id for f in findings] == ["R003"]
+
     def test_repo_source_tree_is_clean(self):
         src_root = Path(repro.__file__).parent
         findings = lint_paths([src_root])
@@ -658,15 +242,13 @@ class TestLintCli:
         assert "2 findings" in out
 
     def test_bad_policy_file_fails_lint(self, tmp_path, capsys):
-        (tmp_path / "bad_policy.py").write_text(textwrap.dedent("""
-            class UncountedPolicy(HybridMemoryPolicy):
-                name = "uncounted"
-
-                def access(self, page, is_write):
-                    self.mm.serve_hit(page, is_write)
-        """), encoding="utf-8")
+        (tmp_path / "bad_policy.py").write_text(
+            textwrap.dedent(_POLICIES_SOURCE), encoding="utf-8")
+        (tmp_path / "registry.py").write_text(
+            'FACTORIES = {"listed": ListedPolicy}\n', encoding="utf-8")
         assert main(["lint", str(tmp_path)]) == 1
-        assert "R010" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "R004" in out and "OrphanPolicy" in out
 
     def test_select_restricts_rules(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(
@@ -679,8 +261,301 @@ class TestLintCli:
     def test_missing_path_is_usage_error(self, tmp_path):
         assert main(["lint", str(tmp_path / "nope.txt")]) == 2
 
+    @pytest.mark.parametrize("select", [
+        ["R999"], ["R001"], ["R010"], ["R013"], ["R003", "R999"],
+    ])
+    def test_unknown_select_id_is_usage_error(self, tmp_path, capsys,
+                                              select):
+        # A typo or a retired rule id must not pass by checking nothing.
+        (tmp_path / "bad.py").write_text("def f(x=[]):\n    return x\n",
+                                         encoding="utf-8")
+        assert main(["lint", str(tmp_path), "--select", *select]) == 2
+        assert f"unknown rule id(s): {select[-1]}" in capsys.readouterr().err
+
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in DEFAULT_RULES:
             assert rule.rule_id in out
+
+
+# ----------------------------------------------------------------------
+# R010 / R012 — the accounting contract, now held at run time
+# ----------------------------------------------------------------------
+# R010 (``access`` calls ``mm.record_request`` exactly once) and R012
+# (the same for every request of an ``access_batch`` kernel) left the
+# linter: the sanitizer checks the contract after every request, on
+# both the per-request and the batched drive path.  Each case below is
+# the policy shape the lint rule used to judge, run sanitized.
+def _walk_trace() -> Trace:
+    """36 requests over 18 pages on 12 NVM frames: a forward pass of
+    faults and evictions, then a backward pass of 12 hits, 6 faults."""
+    pairs = [(page, page % 3 == 0) for page in range(18)]
+    pairs += [(page, page % 2 == 0) for page in reversed(range(18))]
+    return Trace.from_pairs(pairs, name="walk")
+
+
+def _serve(mm: MemoryManager, page: int, is_write: bool) -> None:
+    """Correct NVM-only servicing of one already-recorded request."""
+    if mm.is_resident(page):
+        mm.serve_hit(page, is_write)
+        return
+    if not mm.has_free(PageLocation.NVM):
+        _make_room(mm)
+    mm.fault_fill(page, PageLocation.NVM, is_write)
+
+
+def _make_room(mm: MemoryManager) -> None:
+    victim = next(entry.page for entry in mm.page_table.entries()
+                  if entry.location is PageLocation.NVM)
+    mm.evict_to_disk(victim)
+
+
+def _run_sanitized(spec, policy_class, batch: bool = False):
+    return simulate(_walk_trace(), spec, policy_class, sanitize=True,
+                    batch=batch)
+
+
+class _CountedPolicy(HybridMemoryPolicy):
+    name = "test-counted"
+
+    def access(self, page: int, is_write: bool) -> None:
+        self.mm.record_request(is_write)
+        _serve(self.mm, page, is_write)
+
+
+class TestR010:
+    def test_clean_policy_passes(self, small_spec):
+        result = _run_sanitized(small_spec, _CountedPolicy)
+        assert result.accounting.total_requests == len(_walk_trace())
+
+    def test_missing_call_flagged(self, small_spec):
+        class BadPolicy(HybridMemoryPolicy):
+            name = "bad"
+
+            def access(self, page: int, is_write: bool) -> None:
+                _serve(self.mm, page, is_write)
+
+        with pytest.raises(SanitizerError, match="record_request 0 times"):
+            _run_sanitized(small_spec, BadPolicy)
+
+    def test_conditional_skip_flagged(self, small_spec):
+        class SometimesPolicy(HybridMemoryPolicy):
+            name = "sometimes"
+
+            def access(self, page: int, is_write: bool) -> None:
+                if is_write:
+                    self.mm.record_request(is_write)
+                _serve(self.mm, page, is_write)
+
+        # The walk opens with a write to page 0; the first read skips.
+        with pytest.raises(SanitizerError,
+                           match=r"page=1, is_write=False\) called "
+                                 "record_request 0 times"):
+            _run_sanitized(small_spec, SometimesPolicy)
+
+    def test_double_call_flagged(self, small_spec):
+        class EagerPolicy(HybridMemoryPolicy):
+            name = "eager"
+
+            def access(self, page: int, is_write: bool) -> None:
+                self.mm.record_request(is_write)
+                self.mm.record_request(is_write)
+                _serve(self.mm, page, is_write)
+
+        with pytest.raises(SanitizerError, match="record_request 2 times"):
+            _run_sanitized(small_spec, EagerPolicy)
+
+    def test_transitive_subclass_checked(self, small_spec):
+        class Leaf(_CountedPolicy):
+            name = "leaf"
+
+            def access(self, page: int, is_write: bool) -> None:
+                _serve(self.mm, page, is_write)
+
+        _run_sanitized(small_spec, _CountedPolicy)
+        with pytest.raises(SanitizerError, match="record_request 0 times"):
+            _run_sanitized(small_spec, Leaf)
+
+
+class TestR012:
+    def test_deferred_counter_kernel_passes(self, small_spec):
+        class FastPolicy(_CountedPolicy):
+            name = "fast"
+
+            def access_batch(self, pages: list[int],
+                             writes: list[bool]) -> None:
+                mm = self.mm
+                record_request = mm.record_request
+                read_requests = 0
+                write_requests = 0
+                try:
+                    for page, is_write in zip(pages, writes):
+                        if not mm.is_resident(page):
+                            record_request(is_write)
+                            _serve(mm, page, is_write)
+                            continue
+                        if is_write:
+                            write_requests += 1
+                        else:
+                            read_requests += 1
+                        mm.serve_hit(page, is_write)
+                finally:
+                    mm.accounting.read_requests += read_requests
+                    mm.accounting.write_requests += write_requests
+
+        batched = _run_sanitized(small_spec, FastPolicy, batch=True)
+        looped = _run_sanitized(small_spec, FastPolicy, batch=False)
+        assert batched.accounting.snapshot() == looped.accounting.snapshot()
+
+    def test_delegating_loop_passes(self, small_spec):
+        class PlainPolicy(_CountedPolicy):
+            name = "plain"
+
+            def access_batch(self, pages: list[int],
+                             writes: list[bool]) -> None:
+                access = self.access
+                for page, is_write in zip(pages, writes):
+                    access(page, is_write)
+
+        result = _run_sanitized(small_spec, PlainPolicy, batch=True)
+        assert result.accounting.total_requests == len(_walk_trace())
+
+    def test_unaccounted_fast_path_flagged(self, small_spec):
+        class LeakyPolicy(_CountedPolicy):
+            name = "leaky"
+
+            def access_batch(self, pages: list[int],
+                             writes: list[bool]) -> None:
+                mm = self.mm
+                for page, is_write in zip(pages, writes):
+                    if mm.is_resident(page):
+                        mm.serve_hit(page, is_write)
+                    else:
+                        mm.record_request(is_write)
+                        _serve(mm, page, is_write)
+
+        # The forward pass only faults; the backward pass opens with
+        # a resident hit on page 17.
+        with pytest.raises(SanitizerError,
+                           match=r"page=17, is_write=False\) called "
+                                 "record_request 0 times"):
+            _run_sanitized(small_spec, LeakyPolicy, batch=True)
+        _run_sanitized(small_spec, LeakyPolicy, batch=False)
+
+    def test_never_accounting_flagged(self, small_spec):
+        class SilentPolicy(_CountedPolicy):
+            name = "silent"
+
+            def access_batch(self, pages: list[int],
+                             writes: list[bool]) -> None:
+                for page, is_write in zip(pages, writes):
+                    _serve(self.mm, page, is_write)
+
+        with pytest.raises(SanitizerError, match="record_request 0 times"):
+            _run_sanitized(small_spec, SilentPolicy, batch=True)
+
+    def test_double_accounting_flagged(self, small_spec):
+        class GreedyPolicy(_CountedPolicy):
+            name = "greedy"
+
+            def access_batch(self, pages: list[int],
+                             writes: list[bool]) -> None:
+                mm = self.mm
+                read_requests = 0
+                write_requests = 0
+                try:
+                    for page, is_write in zip(pages, writes):
+                        mm.record_request(is_write)
+                        if is_write:
+                            write_requests += 1
+                        else:
+                            read_requests += 1
+                        _serve(mm, page, is_write)
+                finally:
+                    mm.accounting.read_requests += read_requests
+                    mm.accounting.write_requests += write_requests
+
+        with pytest.raises(SanitizerError, match="record_request 2 times"):
+            _run_sanitized(small_spec, GreedyPolicy, batch=True)
+
+    def test_flush_and_prologue_not_constrained(self, small_spec):
+        # Accounting outside the request loop (the hoisting prologue,
+        # the ``finally`` flush) lands once per request all the same.
+        class FlushPolicy(_CountedPolicy):
+            name = "flush"
+
+            def access_batch(self, pages: list[int],
+                             writes: list[bool]) -> None:
+                mm = self.mm
+                record_request = mm.record_request
+                write_requests = 0
+                try:
+                    for page, is_write in zip(pages, writes):
+                        if is_write:
+                            write_requests += 1
+                        else:
+                            record_request(False)
+                        _serve(mm, page, is_write)
+                finally:
+                    mm.accounting.write_requests += write_requests
+
+        result = _run_sanitized(small_spec, FlushPolicy, batch=True)
+        assert result.accounting.write_requests == sum(
+            1 for _, is_write in _walk_trace().iter_pairs() if is_write)
+
+    def test_non_request_loop_ignored(self, small_spec):
+        # A sweep over internal state before the request loop records
+        # nothing and must not be mistaken for request handling.
+        class SweepPolicy(_CountedPolicy):
+            name = "sweep"
+
+            def access_batch(self, pages: list[int],
+                             writes: list[bool]) -> None:
+                for entry in self.mm.page_table.entries():
+                    entry.referenced = False
+                access = self.access
+                for page, is_write in zip(pages, writes):
+                    access(page, is_write)
+
+        result = _run_sanitized(small_spec, SweepPolicy, batch=True)
+        assert result.accounting.total_requests == len(_walk_trace())
+
+    def test_nested_inner_loop_does_not_double_count(self, small_spec):
+        # An eviction cascade inside the request loop adds no requests.
+        class CascadePolicy(_CountedPolicy):
+            name = "cascade"
+
+            def access_batch(self, pages: list[int],
+                             writes: list[bool]) -> None:
+                mm = self.mm
+                for page, is_write in zip(pages, writes):
+                    mm.record_request(is_write)
+                    if mm.is_resident(page):
+                        mm.serve_hit(page, is_write)
+                        continue
+                    while not mm.has_free(PageLocation.NVM):
+                        _make_room(mm)
+                    mm.fault_fill(page, PageLocation.NVM, is_write)
+
+        batched = _run_sanitized(small_spec, CascadePolicy, batch=True)
+        looped = _run_sanitized(small_spec, CascadePolicy, batch=False)
+        assert batched.accounting.snapshot() == looped.accounting.snapshot()
+
+    def test_shipped_kernels_pass(self):
+        trace = zipf_workload(pages=96, requests=1_500, alpha=1.1,
+                              write_ratio=0.3, seed=5)
+        spec = HybridMemorySpec.for_footprint(96)
+        kernels = {
+            "proposed": spec,
+            "clock-dwf": spec,
+            "dram-only": spec.as_dram_only(),
+            "nvm-only": spec.as_nvm_only(),
+        }
+        for name, machine in kernels.items():
+            batched = simulate(trace, machine, policy_factory(name),
+                               sanitize=True, batch=True)
+            looped = simulate(trace, machine, policy_factory(name),
+                              sanitize=True, batch=False)
+            assert batched.accounting.snapshot() \
+                == looped.accounting.snapshot(), name

@@ -204,6 +204,6 @@ class TestProjectCleanliness:
         repo_root = SRC_ROOT.parent.parent
         monkeypatch.chdir(repo_root)
         code = run_lint(
-            ["src"], deep=True, perf=True,
+            ["src"], perf=True,
             baseline="benchmarks/lint_perf_baseline.json")
         assert code == 0, capsys.readouterr().out

@@ -396,7 +396,7 @@ class TestSharedCaches:
             return real_parse(source, filename, *args, **kwargs)
 
         monkeypatch.setattr(ast, "parse", counting_parse)
-        lint_paths([tmp_path], deep=True, perf=True)
+        lint_paths([tmp_path], perf=True)
         ours = [name for name in parsed if name.startswith(str(tmp_path))]
         assert sorted(ours) == sorted(set(ours))
         assert len(ours) == 3
@@ -404,9 +404,8 @@ class TestSharedCaches:
     def test_report_names_all_tiers(self, tmp_path):
         (tmp_path / "mod.py").write_text("def f():\n    return 0\n",
                                          encoding="utf-8")
-        report = lint_report([tmp_path], deep=True, perf=True)
-        assert [tier.name for tier in report.tiers] == \
-            ["base", "deep", "perf"]
+        report = lint_report([tmp_path], perf=True)
+        assert [tier.name for tier in report.tiers] == ["base", "perf"]
         assert all(tier.elapsed >= 0.0 for tier in report.tiers)
 
 

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import inspect
-
 import pytest
 
-from repro.analysis import lint_paths
 from repro.analysis.sanitizer import (
     SANITIZE_ENV,
     SanitizedPolicy,
@@ -48,7 +45,7 @@ class CleanPolicy(HybridMemoryPolicy):
 class DoubleRecordPolicy(HybridMemoryPolicy):
     name = "test-double-record"
 
-    def access(self, page: int, is_write: bool) -> None:  # noqa: R010 - violation under test
+    def access(self, page: int, is_write: bool) -> None:
         self.mm.record_request(is_write)
         self.mm.record_request(is_write)
         _serve(self.mm, page, is_write)
@@ -57,7 +54,7 @@ class DoubleRecordPolicy(HybridMemoryPolicy):
 class NoRecordPolicy(HybridMemoryPolicy):
     name = "test-no-record"
 
-    def access(self, page: int, is_write: bool) -> None:  # noqa: R010 - violation under test
+    def access(self, page: int, is_write: bool) -> None:
         _serve(self.mm, page, is_write)
 
 
@@ -110,27 +107,9 @@ class TestBuggyPolicies:
             simulate(walk_trace, small_spec, DoubleRecordPolicy,
                      sanitize=True)
 
-    def test_double_record_also_caught_by_lint(self, tmp_path):
-        # The same defect must be caught statically: R001 flags the
-        # double call without running a single request.
-        source = inspect.getsource(DoubleRecordPolicy)
-        source = source.replace("  # noqa: R010 - violation under test", "")
-        (tmp_path / "double.py").write_text(source, encoding="utf-8")
-        findings = lint_paths([tmp_path], select=["R001"])
-        assert len(findings) == 1
-        assert "more than once" in findings[0].message
-
     def test_no_record_caught(self, small_spec, walk_trace):
         with pytest.raises(SanitizerError, match="record_request 0 times"):
             simulate(walk_trace, small_spec, NoRecordPolicy, sanitize=True)
-
-    def test_no_record_also_caught_by_lint(self, tmp_path):
-        source = inspect.getsource(NoRecordPolicy)
-        source = source.replace("  # noqa: R010 - violation under test", "")
-        (tmp_path / "norecord.py").write_text(source, encoding="utf-8")
-        findings = lint_paths([tmp_path], select=["R001"])
-        assert len(findings) == 1
-        assert "never calls" in findings[0].message
 
     def test_misdirected_request_caught(self, small_spec, walk_trace):
         with pytest.raises(SanitizerError, match="direction miscounted"):
