@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Batched-kernel throughput -> BENCH_core.json, with a regression gate.
 
-Measures the two hot loops this repository spends its CPU time in:
+Measures the simulator's hot loop:
 
 * **Policy simulation** — requests/second through
   :class:`HybridMemorySimulator` for the core policies, once with the
@@ -10,24 +10,16 @@ Measures the two hot loops this repository spends its CPU time in:
   pre-batching behaviour).  Both paths produce bit-identical
   :class:`RunResult`\\ s — ``tests/test_batch_equivalence.py`` asserts
   it — so the ratio is pure kernel speedup.
-* **Cache filtering** — CPU accesses/second through
-  :func:`repro.cpu.filter.filter_trace`, vectorized kernel vs the
-  per-request reference replay, on a default (cache-thrashing) and a
-  high-locality multicore trace.
 * **Observability overhead** — the batched kernels with the event bus
   detached (``events=None``, the default) versus attached with the
   standard sinks.  The events-off number is what the regression gate
   floors: the bus must stay zero-overhead when disabled.
-* **Pipeline phase breakdown** (report-only) — per-phase wall-clock of
-  one representative grid cell: workload render vs cache filter vs
-  simulator replay, so engine-level speedups (analytic, sampled) can
-  be read against the phases they leave untouched.
 
 Timing uses ``time.process_time()`` (container wall clocks jitter by
 2x), garbage collection is disabled around the timed region, and each
 cell is best-of-``--reps``.
 
-The **regression gate** compares the batched/vectorized numbers
+The **regression gate** compares the batched and events-off numbers
 against the floors in ``benchmarks/baseline_core.json`` and fails
 (exit 1) when throughput drops below ``tolerance`` (default 0.7, i.e.
 a >30% regression) times the stored floor.  Floors are deliberately
@@ -50,9 +42,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.cpu.filter import filter_trace
-from repro.cpu.hierarchy import cotson_hierarchy
-from repro.cpu.multicore import synthesize_cpu_trace
 from repro.memory.specs import HybridMemorySpec
 from repro.mmu.simulator import HybridMemorySimulator
 from repro.obs import EventConfig
@@ -68,16 +57,6 @@ POLICIES = ("proposed", "clock-dwf", "dram-only", "nvm-only")
 #: zipf workload sizes: full (local measurement) and --fast (CI smoke).
 FULL_SIZE = dict(pages=4000, requests=500_000)
 FAST_SIZE = dict(pages=1000, requests=100_000)
-
-#: Cache-filter workloads: the synthesizer's default mix thrashes the
-#: L1s (uniform-random lines within a big zipf page set); the "local"
-#: mix keeps a per-core working set that caches well, which is closer
-#: to the L1 hit ratios real applications show.
-FILTER_WORKLOADS = {
-    "multicore-default": {},
-    "multicore-local": dict(shared_pages=16, private_pages=1,
-                            shared_fraction=0.1, zipf_alpha=1.5),
-}
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline_core.json"
 
@@ -134,33 +113,6 @@ def bench_policies(size: dict, reps: int) -> dict:
     return {"workload": "zipf", **size, "results": rows}
 
 
-def bench_filter(fast: bool, reps: int) -> dict:
-    requests = 100_000 if fast else 500_000
-    rows: dict[str, dict] = {}
-    for label, kwargs in FILTER_WORKLOADS.items():
-        trace = synthesize_cpu_trace(requests=requests, seed=9, **kwargs)
-
-        def run(vectorized: bool) -> None:
-            filter_trace(trace, cotson_hierarchy(), vectorized=vectorized)
-
-        vec = requests / best_of(lambda: run(True), reps)
-        ref = requests / best_of(lambda: run(False), reps)
-        hierarchy = cotson_hierarchy()
-        filter_trace(trace, hierarchy, vectorized=True)
-        hit_ratio = (hierarchy.stats.l1_hits
-                     / max(hierarchy.stats.cpu_accesses, 1))
-        rows[label] = {
-            "vectorized_aps": round(vec),
-            "reference_aps": round(ref),
-            "speedup": round(vec / ref, 3),
-            "l1_hit_ratio": round(hit_ratio, 4),
-        }
-        print(f"  filter {label:18s}  vectorized {vec/1e3:7.1f}k acc/s  "
-              f"reference {ref/1e3:7.1f}k acc/s  speedup {vec/ref:.2f}x  "
-              f"(L1 hit {hit_ratio:.1%})")
-    return {"requests": requests, "results": rows}
-
-
 def bench_events(size: dict, reps: int) -> dict:
     trace = zipf_workload(**size, seed=2016)
     requests = len(trace)
@@ -187,55 +139,6 @@ def bench_events(size: dict, reps: int) -> dict:
     return {"workload": "zipf", **size, "results": rows}
 
 
-def bench_pipeline(fast: bool, reps: int) -> dict:
-    """Per-phase wall-clock of the run pipeline, one representative cell.
-
-    Times the three phases an end-to-end run spends its time in —
-    **workload render** (phased trace synthesis + machine sizing),
-    **cache filter** (the CPU front-end's vectorized hierarchy replay
-    over a same-order multicore trace), and **replay** (the simulator
-    consuming the rendered trace) — so engine-level optimisations can
-    be read against the pipeline costs they do *not* remove: a sampled
-    or analytic engine only compresses the replay phase, and this
-    section shows how much of a cell's wall-clock that actually is.
-    Report-only (the regression gate floors the kernels above).
-    """
-    from repro.experiments.runspec import RunSpec
-
-    scale = 0.005 if fast else 0.02
-    spec = RunSpec.core("dedup", "proposed", request_scale=scale)
-    render_seconds = best_of(spec.render, reps)
-    instance = spec.render()
-    replay_seconds = best_of(
-        lambda: spec.execute(instance=instance), reps)
-    filter_requests = len(instance.trace)
-    cpu_trace = synthesize_cpu_trace(requests=filter_requests, seed=9)
-    filter_seconds = best_of(
-        lambda: filter_trace(cpu_trace, cotson_hierarchy(),
-                             vectorized=True), reps)
-    phases = {
-        "workload_render": render_seconds,
-        "cache_filter": filter_seconds,
-        "replay": replay_seconds,
-    }
-    total = sum(phases.values())
-    rows = {
-        name: {"seconds": round(seconds, 4),
-               "share": round(seconds / total, 4)}
-        for name, seconds in phases.items()
-    }
-    for name, row in rows.items():
-        print(f"  phase {name:16s} {row['seconds'] * 1e3:8.1f} ms "
-              f"({row['share']:.0%})")
-    return {
-        "workload": "dedup",
-        "policy": "proposed",
-        "request_scale": scale,
-        "requests": int(len(instance.trace)),
-        "phases": rows,
-    }
-
-
 # ----------------------------------------------------------------------
 # Regression gate
 # ----------------------------------------------------------------------
@@ -244,8 +147,6 @@ def measured_floors(payload: dict) -> dict[str, float]:
     floors: dict[str, float] = {}
     for name, row in payload["policies"]["results"].items():
         floors[f"policy:{name}"] = row["batch_rps"]
-    for label, row in payload["filter"]["results"].items():
-        floors[f"filter:{label}"] = row["vectorized_aps"]
     for name, row in payload.get("events", {}).get("results", {}).items():
         floors[f"events-off:{name}"] = row["events_off_rps"]
     return floors
@@ -307,12 +208,8 @@ def main() -> int:
           f"({size['pages']} pages, {size['requests']:,} requests), "
           f"best of {args.reps}")
     policies = bench_policies(size, args.reps)
-    print("cache filter:")
-    filters = bench_filter(args.fast, args.reps)
     print("observability overhead:")
     events = bench_events(size, args.reps)
-    print("pipeline phase breakdown:")
-    pipeline = bench_pipeline(args.fast, args.reps)
 
     payload = {
         "benchmark": "core-kernel-throughput",
@@ -321,9 +218,7 @@ def main() -> int:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count() or 1,
         "policies": policies,
-        "filter": filters,
         "events": events,
-        "pipeline": pipeline,
     }
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)

@@ -45,9 +45,9 @@ SCOPE_STMTS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: debug helpers that happen to be called from a kernel opt out here).
 COLD_MARKER = "repro: cold"
 
-#: Function names that are hot by definition: the trace-filter kernels
-#: run once per trace record before the simulator ever sees a request.
-HOT_KERNEL_FUNCTIONS = frozenset({"filter_trace", "filter_trace_vectorized"})
+#: Function names that are hot by definition: the trace filter runs
+#: once per trace record before the simulator ever sees a request.
+HOT_KERNEL_FUNCTIONS = frozenset({"filter_trace"})
 
 #: Sampling filter kernels that are hot by definition: membership
 #: selection and trace subsetting touch every record of the *full*
@@ -558,7 +558,7 @@ class CallGraph:
         """Hot entry points for the perf tier: qname -> why it is hot.
 
         Four families: policy ``access``/``access_batch`` kernels (one
-        body per request or per batch), the trace-filter kernels
+        body per request or per batch), the trace filter
         (:data:`HOT_KERNEL_FUNCTIONS`), the sampling filter kernels
         (:data:`HOT_SAMPLING_FUNCTIONS`), and the simulator/sampler
         drive loops (:data:`HOT_DRIVE_METHODS`).  Everything reachable

@@ -5,7 +5,7 @@ request or per trace record; flagging a dict literal in a config loader
 would be noise.  This module decides *where* those rules look:
 
 * **seeds** come from :meth:`CallGraph.hot_seeds` — policy ``access``/
-  ``access_batch`` kernels, the trace-filter kernels, and the simulator
+  ``access_batch`` kernels, the trace filter, and the simulator
   drive loops;
 * **closure**: everything reachable from a seed through the project
   call graph (:mod:`repro.analysis.perf.callgraph`) is hot, with the

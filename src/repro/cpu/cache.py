@@ -125,25 +125,3 @@ class SetAssociativeCache:
     @property
     def resident_lines(self) -> int:
         return sum(len(cache_set) for cache_set in self._sets)
-
-    # ------------------------------------------------------------------
-    # Batched-kernel support (repro.cpu.filter.filter_trace_vectorized)
-    # ------------------------------------------------------------------
-    def sets_snapshot(self) -> list[OrderedDict[int, bool]]:
-        """The per-set tag->dirty maps, LRU first (read-only view)."""
-        return self._sets
-
-    def restore_sets(self, state: list[dict[int, bool]]) -> None:
-        """Overwrite the per-set contents from insertion-ordered dicts.
-
-        The batched filter kernel works on plain-dict copies of the
-        sets (plain dicts preserve insertion order, which is the only
-        property the LRU bookkeeping relies on) and writes them back
-        through here, so object identity of the ``OrderedDict``\\ s is
-        preserved for any holder of :attr:`stats`/set references.
-        """
-        if len(state) != len(self._sets):
-            raise ValueError("set count mismatch")
-        for cache_set, new_state in zip(self._sets, state):
-            cache_set.clear()
-            cache_set.update(new_state)

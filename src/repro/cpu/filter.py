@@ -7,29 +7,20 @@ system with many cache levels" (Section I).  The hierarchy absorbs hot
 lines, delays writes into eviction-time write-backs and hands the
 policies a post-LLC access stream.
 
-Two implementations produce *bit-identical* results:
-
-* :func:`filter_trace` with ``vectorized=True`` (the default) runs
-  :func:`filter_trace_vectorized` — address-to-line and line-to-set
-  decomposition happens once, up front, as whole-array numpy ops, and
-  the state-dependent cache walk runs in a fused kernel over plain
-  dicts with all per-access method dispatch inlined.
-* ``vectorized=False`` replays through
-  :meth:`repro.cpu.hierarchy.CacheHierarchy.access` one CPU request at
-  a time — the reference path the equivalence tests compare against
-  (:class:`repro.cpu.cache.SetAssociativeCache` stays the readable
-  specification of the cache behaviour).
+:func:`filter_trace` replays the trace through
+:meth:`repro.cpu.hierarchy.CacheHierarchy.access` one CPU request at a
+time, so :class:`repro.cpu.cache.SetAssociativeCache` is both the
+specification and the implementation of the cache behaviour.  Like
+COTSon in the paper, the filter runs once, offline, before any
+simulation; it is not on the simulator's run path.  Golden digests in
+``tests/test_cpu.py`` pin its output and every cache statistic.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cpu.hierarchy import CacheHierarchy, cotson_hierarchy
 from repro.trace.record import PAGE_SIZE
 from repro.trace.trace import CPUTrace, Trace
-
-_MISSING = object()
 
 
 def filter_trace(
@@ -38,9 +29,11 @@ def filter_trace(
     page_size: int = PAGE_SIZE,
     flush_at_end: bool = False,
     name: str | None = None,
-    vectorized: bool = True,
 ) -> Trace:
     """Run a CPU trace through the hierarchy; return the memory trace.
+
+    Out-of-range core ids are rejected for the whole trace before any
+    cache state changes.
 
     Parameters
     ----------
@@ -55,16 +48,13 @@ def filter_trace(
         measures the region of interest, not teardown).
     name:
         Name for the filtered trace; defaults to ``<cpu name>-filtered``.
-    vectorized:
-        Use the batched kernel (default).  ``False`` replays through
-        ``hierarchy.access`` per request; results are bit-identical
-        either way (asserted by the equivalence tests).
     """
     hierarchy = hierarchy or cotson_hierarchy()
-    if vectorized:
-        return filter_trace_vectorized(
-            cpu_trace, hierarchy, page_size, flush_at_end, name
-        )
+    cores = cpu_trace.cores
+    if cores.size:
+        low, high = int(cores.min()), int(cores.max())
+        if low < 0 or high >= hierarchy.cores:
+            raise ValueError(f"core {low if low < 0 else high} out of range")
     lines_per_page = page_size // hierarchy.line_size
     pages: list[int] = []
     writes: list[bool] = []
@@ -85,295 +75,23 @@ def filter_trace(
     )
 
 
-def filter_trace_vectorized(
-    cpu_trace: CPUTrace,
-    hierarchy: CacheHierarchy | None = None,
-    page_size: int = PAGE_SIZE,
-    flush_at_end: bool = False,
-    name: str | None = None,
-) -> Trace:
-    """Batched :func:`filter_trace`: numpy decomposition + fused kernel.
-
-    The address arithmetic that is independent of cache state — byte
-    address to line number, line to L1 set index, line to LLC set index
-    — runs once as three whole-array numpy expressions.  The remaining
-    walk is inherently sequential (every access depends on the state
-    the previous one left), so it runs in a single Python loop with the
-    whole ``CacheHierarchy.access`` call tree inlined:
-
-    * Each ``SetAssociativeCache`` set is worked on as a plain insertion
-      -ordered dict (tag -> dirty); ``pop`` + reinsert is the LRU touch
-      and ``next(iter(d))`` is the LRU victim — the exact semantics of
-      the reference ``OrderedDict`` implementation.  All L1 sets live in
-      one flat list indexed by a precomputed ``core * sets + set_index``
-      array, so the hot hit path is a single list subscript.
-    * The coherence directory is worked on as a line -> holder-bitmask
-      dict (bit *c* set = core *c* holds the line); the common
-      single-holder write needs one ``int`` mask test instead of set
-      iteration.  Insertions and deletions mirror the reference
-      directory exactly, so rebuilding the ``line -> set`` form at the
-      end reproduces even its key order.
-    * All stats counters accumulate in locals.
-
-    On completion (or mid-run error) the working dicts are written back
-    into the hierarchy's ``OrderedDict`` sets and the counters flushed
-    into its stats objects, so the hierarchy object ends bit-identical
-    to a per-request replay — including a subsequent ``flush()`` for
-    ``flush_at_end``.  Instruction fetches are not modelled here
-    because :func:`filter_trace` never issues them.
-
-    One visible difference on *invalid input only*: out-of-range core
-    ids are rejected up front for the whole trace, where the reference
-    path raises at the offending request mid-run.
-    """
-    hierarchy = hierarchy or cotson_hierarchy()
-    line_size = hierarchy.line_size
-    lines_per_page = page_size // line_size
-    l1_sets_count = hierarchy.l1d[0].geometry.sets
-    l1_assoc = hierarchy.l1d[0].geometry.associativity
-    llc_sets_count = hierarchy.llc.geometry.sets
-    llc_assoc = hierarchy.llc.geometry.associativity
-    cores = hierarchy.cores
-
-    core_arr = cpu_trace._cores
-    if core_arr.size and (core_arr.min() < 0 or core_arr.max() >= cores):
-        bad = int(
-            core_arr[(core_arr < 0) | (core_arr >= cores)][0]
-        )
-        raise ValueError(f"core {bad} out of range")
-    # One-shot decomposition: line numbers and flattened L1 set indices
-    # (``core * sets + line % sets``) for the whole trace, in a few
-    # whole-array ops.  LLC set indices are only needed on the rarer
-    # miss/writeback paths, so those stay as a per-event ``%``.
-    line_arr = cpu_trace._addresses // line_size
-    line_list = line_arr.tolist()
-    core64 = core_arr.astype(np.int64)
-    fidx_list = (
-        core64 * l1_sets_count + line_arr % l1_sets_count
-    ).tolist()
-    write_list = cpu_trace._is_write.tolist()
-    cbit_list = np.left_shift(1, core64).tolist()
-    core_counts = np.bincount(core_arr, minlength=cores).tolist()
-
-    # Working state: plain-dict copies of every set (plain dicts keep
-    # insertion order, which is all the LRU bookkeeping needs) — the L1
-    # sets in one flat list aligned with ``fidx_list`` — the coherence
-    # directory as holder bitmasks, and local stats counters.
-    l1_flat: list[dict[int, bool]] = [
-        dict(s) for l1 in hierarchy.l1d for s in l1.sets_snapshot()
-    ]
-    llc_state: list[dict[int, bool]] = [
-        dict(s) for s in hierarchy.llc.sets_snapshot()
-    ]
-    dir_mask: dict[int, int] = {}
-    for dline, holder_set in hierarchy._directory.holders.items():
-        mask = 0
-        for holder in holder_set:
-            mask |= 1 << holder
-        dir_mask[dline] = mask
-    dir_mask_get = dir_mask.get
-
-    # Per-core hits are derived at flush time as accesses - misses
-    # (every access is exactly one of the two), so the hit fast path
-    # does not touch a counter at all.
-    l1_misses = [0] * cores
-    l1_writebacks = [0] * cores
-    l1_invalidations = [0] * cores
-    llc_hits = 0
-    llc_misses = 0
-    llc_writebacks = 0
-    h_llc_hits = 0
-    memory_reads = 0
-    memory_writes = 0
-    coherence_invalidations = 0
-
-    pages: list[int] = []
-    writes: list[bool] = []
-    pages_append = pages.append
-    writes_append = writes.append
-    missing = _MISSING
-
-    try:
-        for line, is_write, cbit, fidx in zip(
-            line_list, write_list, cbit_list, fidx_list
-        ):
-            if is_write:
-                # _invalidate_remote: kill other cores' copies.
-                mask = dir_mask_get(line)
-                if mask is not None:
-                    others = mask & ~cbit
-                    if others:
-                        idx = fidx % l1_sets_count
-                        while others:
-                            low = others & -others
-                            others ^= low
-                            other = low.bit_length() - 1
-                            oset = l1_flat[other * l1_sets_count + idx]
-                            dirty = oset.pop(line, missing)
-                            coherence_invalidations += 1
-                            if dirty is not missing:
-                                l1_invalidations[other] += 1
-                                if dirty:
-                                    # _write_back_to_llc(line)
-                                    ls = llc_state[line % llc_sets_count]
-                                    tag_dirty = ls.pop(line, missing)
-                                    if tag_dirty is not missing:
-                                        llc_hits += 1
-                                        ls[line] = True
-                                    else:
-                                        llc_misses += 1
-                                        if len(ls) >= llc_assoc:
-                                            victim = next(iter(ls))
-                                            if ls.pop(victim):
-                                                llc_writebacks += 1
-                                                memory_writes += 1
-                                                pages_append(
-                                                    victim // lines_per_page
-                                                )
-                                                writes_append(True)
-                                        ls[line] = True
-                        mask &= cbit
-                        if mask:
-                            dir_mask[line] = mask
-                        else:
-                            del dir_mask[line]
-            # l1.access(line, is_write)
-            s = l1_flat[fidx]
-            dirty = s.pop(line, missing)
-            if dirty is not missing:
-                # L1 hit: refresh LRU position, accumulate dirt.
-                s[line] = dirty or is_write
-                continue
-            core = fidx // l1_sets_count
-            l1_misses[core] += 1
-            l1_writeback = missing
-            if len(s) >= l1_assoc:
-                victim = next(iter(s))
-                if s.pop(victim):
-                    l1_writebacks[core] += 1
-                    l1_writeback = victim
-            s[line] = is_write
-            # directory.add(line, core)
-            mask = dir_mask_get(line)
-            dir_mask[line] = cbit if mask is None else mask | cbit
-            # _fetch_into_llc(line)
-            ls = llc_state[line % llc_sets_count]
-            tag_dirty = ls.pop(line, missing)
-            if tag_dirty is not missing:
-                h_llc_hits += 1
-                llc_hits += 1
-                ls[line] = tag_dirty
-            else:
-                llc_misses += 1
-                memory_reads += 1
-                pages_append(line // lines_per_page)
-                writes_append(False)
-                if len(ls) >= llc_assoc:
-                    victim = next(iter(ls))
-                    if ls.pop(victim):
-                        llc_writebacks += 1
-                        memory_writes += 1
-                        pages_append(victim // lines_per_page)
-                        writes_append(True)
-                ls[line] = False
-            if l1_writeback is not missing:
-                # directory.drop(l1_writeback, core)
-                mask = dir_mask_get(l1_writeback)
-                if mask is not None:
-                    mask &= ~cbit
-                    if mask:
-                        dir_mask[l1_writeback] = mask
-                    else:
-                        del dir_mask[l1_writeback]
-                # _write_back_to_llc(l1_writeback)
-                ls = llc_state[l1_writeback % llc_sets_count]
-                tag_dirty = ls.pop(l1_writeback, missing)
-                if tag_dirty is not missing:
-                    llc_hits += 1
-                    ls[l1_writeback] = True
-                else:
-                    llc_misses += 1
-                    if len(ls) >= llc_assoc:
-                        victim = next(iter(ls))
-                        if ls.pop(victim):
-                            llc_writebacks += 1
-                            memory_writes += 1
-                            pages_append(victim // lines_per_page)
-                            writes_append(True)
-                    ls[l1_writeback] = True
-    finally:
-        # Write the working state and counters back so the hierarchy is
-        # bit-identical to a per-request replay.  On a mid-run error the
-        # caches stay structurally consistent and hits/misses/accesses
-        # are flushed on the same whole-trace basis (hits are derived
-        # as accesses - misses, so hits + misses == cpu_accesses holds
-        # even then).
-        for core, l1 in enumerate(hierarchy.l1d):
-            l1.restore_sets(
-                l1_flat[core * l1_sets_count : (core + 1) * l1_sets_count]
-            )
-        hierarchy.llc.restore_sets(llc_state)
-        for core, l1 in enumerate(hierarchy.l1d):
-            stats = l1.stats
-            stats.hits += core_counts[core] - l1_misses[core]
-            stats.misses += l1_misses[core]
-            stats.writebacks += l1_writebacks[core]
-            stats.invalidations += l1_invalidations[core]
-        llc_stats = hierarchy.llc.stats
-        llc_stats.hits += llc_hits
-        llc_stats.misses += llc_misses
-        llc_stats.writebacks += llc_writebacks
-        h_stats = hierarchy.stats
-        h_stats.cpu_accesses += len(line_list)
-        h_stats.l1_hits += len(line_list) - sum(l1_misses)
-        h_stats.llc_hits += h_llc_hits
-        h_stats.memory_reads += memory_reads
-        h_stats.memory_writes += memory_writes
-        h_stats.coherence_invalidations += coherence_invalidations
-        # The reference directory keeps line -> holder sets; rebuild it
-        # from the bitmasks.  The mask dict mirrored every insert/delete
-        # the reference would have done, so even key order matches.
-        dir_holders = hierarchy._directory.holders
-        dir_holders.clear()
-        for dline, mask in dir_mask.items():
-            holder_set = set()
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                holder_set.add(low.bit_length() - 1)
-            dir_holders[dline] = holder_set
-
-    if flush_at_end:
-        for line, line_is_write in hierarchy.flush():
-            pages.append(line // lines_per_page)
-            writes.append(line_is_write)
-    return Trace(
-        np.asarray(pages, dtype=np.int64),
-        np.asarray(writes, dtype=bool),
-        name=name or f"{cpu_trace.name}-filtered",
-        page_size=page_size,
-    )
-
-
 def filter_chunks(
     cpu_chunks,
     hierarchy: CacheHierarchy | None = None,
     page_size: int = PAGE_SIZE,
     flush_at_end: bool = False,
     name: str | None = None,
-    vectorized: bool = True,
 ):
     """Stream CPU-trace chunks through one shared cache hierarchy.
 
     The chunked counterpart of :func:`filter_trace`: each incoming
-    :class:`CPUTrace` chunk is filtered against the *same* hierarchy —
-    both kernels write their working state back into the hierarchy on
-    every call, so feeding N chunks is bit-identical to filtering their
-    concatenation (pinned by the chunk-boundary equivalence suite) —
-    and the filtered :class:`Trace` chunks are yielded as they are
-    produced.  Peak memory is one chunk plus the cache state, so a CPU
-    trace of any length can feed the memory-side drive loop end to end
-    at constant memory.
+    :class:`CPUTrace` chunk is filtered against the *same* hierarchy,
+    so feeding N chunks is bit-identical to filtering their
+    concatenation (pinned in ``tests/test_cpu.py``), and the filtered
+    :class:`Trace` chunks are yielded as they are produced.  Peak
+    memory is one chunk plus the cache state, so a CPU trace of any
+    length can feed the memory-side drive loop end to end at constant
+    memory.
 
     ``flush_at_end`` emits the final dirty-line drain as one extra
     trailing chunk after the input is exhausted.
@@ -383,20 +101,9 @@ def filter_chunks(
     for chunk in cpu_chunks:
         if chunk_name is None:
             chunk_name = f"{chunk.name}-filtered"
-        yield filter_trace(
-            chunk, hierarchy, page_size, flush_at_end=False,
-            name=chunk_name, vectorized=vectorized,
-        )
+        yield filter_trace(chunk, hierarchy, page_size, name=chunk_name)
     if flush_at_end:
-        lines_per_page = page_size // hierarchy.line_size
-        pages: list[int] = []
-        writes: list[bool] = []
-        for line, line_is_write in hierarchy.flush():
-            pages.append(line // lines_per_page)
-            writes.append(line_is_write)
-        yield Trace(
-            np.asarray(pages, dtype=np.int64),
-            np.asarray(writes, dtype=bool),
+        yield filter_trace(
+            CPUTrace([], []), hierarchy, page_size, flush_at_end=True,
             name=chunk_name or "filtered",
-            page_size=page_size,
         )

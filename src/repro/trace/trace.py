@@ -420,9 +420,11 @@ class CPUTrace:
     def chunks(self, chunk_size: int | None = None) -> Iterator["CPUTrace"]:
         """Yield the CPU trace as fixed-size chunks (zero-copy views).
 
-        ``None`` yields the whole trace as one chunk; the chunked
-        cache filter (:func:`repro.cpu.filter.filter_chunks`) consumes
-        these to keep the CPU front-end streaming too.
+        ``None`` yields the whole trace as one chunk; an empty trace
+        yields no chunks.  :func:`repro.cpu.filter.filter_chunks`
+        consumes these through one shared cache hierarchy and produces
+        the same pages, write flags and statistics as filtering the
+        whole trace (``tests/test_cpu.py``).
         """
         if chunk_size is None:
             if len(self):

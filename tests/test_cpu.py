@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.cpu.cache import CacheGeometry, SetAssociativeCache
-from repro.cpu.filter import filter_trace
+from repro.cpu.filter import filter_chunks, filter_trace
 from repro.cpu.hierarchy import (
     COTSON_CORES,
     L1_GEOMETRY,
@@ -187,6 +190,87 @@ class TestFilterTrace:
         first = filter_trace(cpu, cotson_hierarchy())
         second = filter_trace(cpu, cotson_hierarchy())
         assert first == second
+
+    def test_out_of_range_core_rejected_before_any_access(self):
+        cpu = CPUTrace([0, 64, 128], [False, True, False],
+                       cores=[0, 1, COTSON_CORES])
+        hierarchy = cotson_hierarchy()
+        with pytest.raises(ValueError, match="out of range"):
+            filter_trace(cpu, hierarchy)
+        assert hierarchy.stats.cpu_accesses == 0
+
+    @pytest.mark.parametrize("flush", [False, True])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 4096, None])
+    def test_chunked_equals_whole(self, chunk_size, flush):
+        cpu = synthesize_cpu_trace(shared_pages=64, private_pages=16,
+                                   requests=2_000, write_ratio=0.4,
+                                   seed=12)
+        whole_hierarchy = cotson_hierarchy()
+        whole = filter_trace(cpu, whole_hierarchy, flush_at_end=flush)
+        chunked_hierarchy = cotson_hierarchy()
+        chunks = list(filter_chunks(cpu.chunks(chunk_size),
+                                    chunked_hierarchy, flush_at_end=flush))
+        assert np.array_equal(
+            np.concatenate([chunk.pages for chunk in chunks]), whole.pages)
+        assert np.array_equal(
+            np.concatenate([chunk.is_write for chunk in chunks]),
+            whole.is_write)
+        assert _counters(chunked_hierarchy) == _counters(whole_hierarchy)
+
+
+#: Cache geometries the golden filter digests cover.
+GEOMETRIES = {
+    "cotson": cotson_hierarchy,
+    "direct-mapped": lambda: CacheHierarchy(
+        cores=4,
+        l1_geometry=CacheGeometry(8192, 1),
+        llc_geometry=CacheGeometry(65536, 1),
+    ),
+    "8-way": lambda: CacheHierarchy(
+        cores=2,
+        l1_geometry=CacheGeometry(16384, 8),
+        llc_geometry=CacheGeometry(262144, 8),
+    ),
+    "single-set": lambda: CacheHierarchy(
+        cores=3,
+        l1_geometry=CacheGeometry(512, 8),
+        llc_geometry=CacheGeometry(2048, 32),
+    ),
+}
+
+#: sha256 of the filtered pages and write flags plus every hierarchy
+#: and per-cache counter, per (geometry, flush_at_end).
+FILTER_DIGESTS = {
+    ("cotson", False): "33321671f86f7910ab45a0aeb8d7122849b111f20e223cac766d1b6a2b9f277a",
+    ("cotson", True): "e487a2b169d38475f6cbbf99bcb0f5085b9f089c2b50492b209077207015141c",
+    ("direct-mapped", False): "62c17e7c1a881f92341edde79a5bfcf57705cb43c052b238e6d6945f7e73074a",
+    ("direct-mapped", True): "c1d8a5dc0573ac9713b87b1aa072655998e1153e76566d45ce7817f6f63c6027",
+    ("8-way", False): "8bea2f707bf19dfe7aabdf1cbdeb05e56d3a5672e54f19c60b7d14bef30d073b",
+    ("8-way", True): "8e1f5abfed0b45cbd15cb429f7699a3afb5f74d81bcaa24f1a505195f0e0d932",
+    ("single-set", False): "72ccfce10f932cf549c5f2b0d44c349d946d81ccef3bf9e7b3284a0adfb02005",
+    ("single-set", True): "eb33bcb0a98db92bb49a49a4f3b3179ad6b5d7927c202217634e783884c3924a",
+}
+
+
+def _counters(hierarchy: CacheHierarchy) -> list[dict[str, int]]:
+    """Every hierarchy counter, then every per-cache counter."""
+    caches = [*hierarchy.l1d, *hierarchy.l1i, hierarchy.llc]
+    return [vars(hierarchy.stats)] + [vars(cache.stats) for cache in caches]
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("flush", [False, True])
+def test_filter_golden(geometry, flush):
+    hierarchy = GEOMETRIES[geometry]()
+    cpu = synthesize_cpu_trace(
+        shared_pages=256, private_pages=64, requests=30_000,
+        cores=hierarchy.cores, seed=11,
+    )
+    memory = filter_trace(cpu, hierarchy, flush_at_end=flush)
+    digest = hashlib.sha256(memory.pages.astype("<i8").tobytes())
+    digest.update(memory.is_write.tobytes())
+    digest.update(json.dumps(_counters(hierarchy), sort_keys=True).encode())
+    assert digest.hexdigest() == FILTER_DIGESTS[geometry, flush]
 
 
 class TestSynthesizeCPUTrace:

@@ -81,12 +81,13 @@ class TestSeededMutants:
         """Golden mutant: grow the kept-pages array with ``np.append``."""
         target, original = _copy_kernel(tmp_path, "cpu/filter.py")
         loop_append = "            pages.append(line // lines_per_page)\n"
-        assert loop_append in original
+        future = "from __future__ import annotations\n"
+        assert loop_append in original and future in original
         mutated = original.replace(
             loop_append,
             "            pages = np.append(pages, line // lines_per_page)\n",
             1,
-        )
+        ).replace(future, future + "\nimport numpy as np\n", 1)
         target.write_text(mutated, encoding="utf-8")
         expected_line = (
             mutated[: mutated.index("pages = np.append(")].count("\n") + 1)
