@@ -54,8 +54,7 @@ HOT_KERNEL_FUNCTIONS = frozenset({"filter_trace"})
 #: trace before the sampled engine replays the 1-in-K subset, so they
 #: bound the engine's achievable speedup.
 HOT_SAMPLING_FUNCTIONS = frozenset({
-    "sample_mask", "page_membership", "subset_trace", "assign_groups",
-    "frequency_ranks",
+    "page_membership", "subset_trace", "frequency_ranks",
 })
 
 #: Per-class drive-loop methods that are hot by definition: the

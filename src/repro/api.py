@@ -128,12 +128,7 @@ from repro.model import (
 
 # --- Sampled engine --------------------------------------------------
 from repro.sampling import MetricInterval, SamplingConfig, SamplingSummary
-from repro.trace.sampling import (
-    SAMPLING_SCHEMES,
-    assign_groups,
-    sample_mask,
-    subset_trace,
-)
+from repro.trace.sampling import subset_trace
 
 # --- Observability ---------------------------------------------------
 from repro.obs import (
@@ -244,11 +239,8 @@ __all__ = [
     "survival_probability",
     # sampled engine
     "MetricInterval",
-    "SAMPLING_SCHEMES",
     "SamplingConfig",
     "SamplingSummary",
-    "assign_groups",
-    "sample_mask",
     "subset_trace",
     # observability
     "BeneficialMigrationClassifier",

@@ -40,6 +40,15 @@ from repro.workloads.parsec import WorkloadInstance
 #: Default location of the persistent result cache.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
+#: How many times a failed spec is re-executed serially in the parent
+#: before it is reported as a failure.
+RETRIES = 1
+
+#: ``multiprocessing`` start method of the worker pool; ``None`` keeps
+#: the platform default (``fork`` on Linux, which inherits registered
+#: custom policies and environment toggles).
+START_METHOD: str | None = None
+
 #: Packages whose source determines simulation results; a change in any
 #: of them invalidates every cached result.
 _VERSIONED_SUBPACKAGES = (
@@ -279,13 +288,6 @@ class ParallelExecutor:
         A :class:`ResultCache` (or ``None`` to disable persistence).
     progress:
         Callback invoked in the parent as each spec completes.
-    retries:
-        How many times a failed spec is re-executed serially in the
-        parent before it is reported as a failure.
-    start_method:
-        ``multiprocessing`` start method; ``None`` keeps the platform
-        default (``fork`` on Linux, which inherits registered custom
-        policies and environment toggles).
     """
 
     def __init__(
@@ -293,16 +295,12 @@ class ParallelExecutor:
         jobs: int | None = None,
         cache: ResultCache | None = None,
         progress: ProgressCallback | None = None,
-        retries: int = 1,
-        start_method: str | None = None,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.cache = cache
         self.progress = progress
-        self.retries = retries
-        self.start_method = start_method
         self.stats = ExecutorStats()
         #: Event summaries of every completed event-bearing spec (the
         #: summaries ride on RunResult, so cache hits and worker-pool
@@ -367,8 +365,7 @@ class ParallelExecutor:
                     _fresh(spec, result)
         else:
             failed: list[tuple[RunSpec, str]] = []
-            context = (multiprocessing.get_context(self.start_method)
-                       if self.start_method else multiprocessing)
+            context = multiprocessing.get_context(START_METHOD)
             workers = min(self.jobs, len(pending))
             with context.Pool(processes=workers) as pool:
                 items = list(enumerate(pending))
@@ -411,9 +408,9 @@ class ParallelExecutor:
     def _run_with_retries(
         self, spec: RunSpec, first_error: str | None = None,
     ) -> tuple[RunResult | None, WorkerFailure | None]:
-        """Execute one spec in-process, retrying up to ``self.retries``."""
+        """Execute one spec in-process, retrying up to :data:`RETRIES`."""
         error = first_error
-        attempts = self.retries + 1 if first_error is None else self.retries
+        attempts = RETRIES + 1 if first_error is None else RETRIES
         for _ in range(attempts):
             if error is not None:
                 self.stats.retries += 1

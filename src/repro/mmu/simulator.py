@@ -164,7 +164,6 @@ class HybridMemorySimulator:
         self,
         spec: HybridMemorySpec,
         policy_factory: PolicyFactory,
-        validate_every: int = 0,
         inter_request_gap: float = 0.0,
         sanitize: bool | None = None,
         batch: bool = True,
@@ -177,9 +176,6 @@ class HybridMemorySimulator:
             Machine configuration.
         policy_factory:
             Builds the policy over a fresh memory manager.
-        validate_every:
-            When positive, run the full cross-layer invariant check
-            every N requests (slow; meant for tests).
         inter_request_gap:
             Mean compute/LLC time between consecutive main-memory
             requests (seconds); feeds the static-power proration.
@@ -213,7 +209,6 @@ class HybridMemorySimulator:
         if self.sanitize:
             from repro.analysis.sanitizer import SanitizedPolicy
             self.policy = SanitizedPolicy(self.policy)
-        self.validate_every = validate_every
         self.inter_request_gap = inter_request_gap
         self.batch = batch
         self.events = events
@@ -381,10 +376,8 @@ class HybridMemorySimulator:
         Every chunk — whatever its size — drives the same kernels as a
         whole-trace replay (the batch kernels flush their deferred
         accounting per call in their ``finally`` blocks, so totals are
-        bit-identical across chunkings), ``base`` keeps the
-        ``validate_every`` cadence region-relative exactly as the
-        unchunked replay had it, and the warm-up reset and the event
-        epochs land on the same request ordinals regardless of where
+        bit-identical across chunkings), and the warm-up reset and the
+        event epochs land on the same request ordinals regardless of where
         the incoming chunk boundaries fall: chunks are carved at the
         warm-up boundary and at every ``bus.interval`` multiple.
         """
@@ -399,8 +392,7 @@ class HybridMemorySimulator:
             if not in_measured:
                 take = min(boundary - done, n)
                 if take:
-                    self._replay(chunk if take == n else chunk[:take],
-                                 base=done)
+                    self._replay(chunk if take == n else chunk[:take])
                     done += take
                     start = take
                 if done == boundary:
@@ -411,8 +403,7 @@ class HybridMemorySimulator:
                 if start >= n:
                     continue
             if interval <= 0:
-                self._replay(chunk if start == 0 else chunk[start:],
-                             base=measured)
+                self._replay(chunk if start == 0 else chunk[start:])
                 measured += n - start
                 done += n - start
                 continue
@@ -420,7 +411,7 @@ class HybridMemorySimulator:
                 stop = min(n, start + interval - measured % interval)
                 part = chunk if (start == 0 and stop == n) \
                     else chunk[start:stop]
-                self._replay(part, base=measured)
+                self._replay(part)
                 measured += stop - start
                 done += stop - start
                 start = stop
@@ -428,23 +419,12 @@ class HybridMemorySimulator:
                     bus.epoch(mm)  # type: ignore[union-attr]
         return done
 
-    def _replay(self, trace: Trace, base: int = 0) -> None:
+    def _replay(self, trace: Trace) -> None:
         # The kernel is selected once per replay — per-request code
-        # never branches on sanitize/batch/validate_every (the
-        # sanitizer, when on, substituted an instrumented policy at
-        # construction time, so even the instrumented path is a
-        # straight loop).
-        if self.validate_every > 0:
-            access = self.policy.access
-            validate = self.policy.validate
-            validate_every = self.validate_every
-            for index, (page, is_write) in enumerate(
-                trace.iter_pairs(), base + 1
-            ):
-                access(page, is_write)
-                if index % validate_every == 0:
-                    validate()
-        elif self.batch:
+        # never branches on sanitize/batch (the sanitizer, when on,
+        # substituted an instrumented policy at construction time, so
+        # even the instrumented path is a straight loop).
+        if self.batch:
             # One .tolist() each: the whole span becomes native
             # ints/bools up front, and the policy's batch kernel runs
             # without per-request dispatch from the simulator.
@@ -490,7 +470,6 @@ def simulate(
     trace: "Trace | TraceSource",
     spec: HybridMemorySpec,
     policy_factory: PolicyFactory,
-    validate_every: int = 0,
     inter_request_gap: float = 0.0,
     warmup_fraction: float = 0.0,
     warmup_requests: int | None = None,
@@ -502,7 +481,6 @@ def simulate(
     simulator = HybridMemorySimulator(
         spec,
         policy_factory,
-        validate_every=validate_every,
         inter_request_gap=inter_request_gap,
         sanitize=sanitize,
         batch=batch,

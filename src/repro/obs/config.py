@@ -58,9 +58,22 @@ class EventConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EventConfig":
+        """Inverse of :meth:`to_dict`; rejects unknown keys, so a typo
+        cannot silently run at a default."""
+        if not isinstance(data, Mapping):
+            raise TypeError(
+                f"events must be a mapping, got {type(data).__name__}")
+        unknown = set(data) - _FIELDS
+        if unknown:
+            raise ValueError(
+                f"unknown events field(s): {', '.join(sorted(unknown))}")
         return cls(
             interval=data.get("interval", 0),
             buckets=data.get("buckets", DEFAULT_BUCKETS),
             trace=data.get("trace", False),
             classify=data.get("classify", True),
         )
+
+
+#: Keys :meth:`EventConfig.from_dict` accepts (``to_dict``'s keys).
+_FIELDS = frozenset(EventConfig().to_dict())

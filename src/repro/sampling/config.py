@@ -12,15 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.trace.sampling import SAMPLING_SCHEMES
-
 #: Default 1-in-K sampling rate (the ISSUE/ROADMAP throughput target
 #: is quoted at 1/16).
 DEFAULT_RATE = 16
-
-#: Default membership scheme: frequency-stratified systematic
-#: selection (see :mod:`repro.trace.sampling`).
-DEFAULT_SCHEME = "stratified"
 
 #: Default floor on the expected sampled-page count: the configured
 #: rate is clamped down (SHARDS-style rate adaptation) so the sample
@@ -40,20 +34,15 @@ DEFAULT_GROUPS = 8
 class SamplingConfig:
     """How a sampled run selects pages and reports its uncertainty.
 
+    Pages are always selected by frequency-stratified systematic
+    membership (:mod:`repro.trace.sampling`).
+
     rate:
         Sample 1 in ``rate`` pages (``1`` = identity: the sampled
         engine reproduces the exact simulator bit-for-bit).
-    scheme:
-        Membership scheme (:data:`repro.trace.sampling.SAMPLING_SCHEMES`):
-        ``stratified`` (frequency-stratified systematic selection, the
-        default — the engine always has the full trace, so it can
-        balance the sample's request mass across the frequency
-        spectrum instead of gambling on a hash draw), ``spatial``
-        (SHARDS hash threshold, the online-capable variant), ``modulo``
-        (residue classes) or ``temporal`` (request subsampling — known
-        to distort migration dynamics; kept for the accuracy study).
     salt:
-        Hash salt: independent resamples for the same rate.
+        Selects the starting rank: independent resamples for the same
+        rate.
     min_pages:
         Floor on the expected sampled-page count.  The effective rate
         is ``min(rate, footprint_pages // min_pages)``, so tiny
@@ -77,7 +66,6 @@ class SamplingConfig:
     """
 
     rate: int = DEFAULT_RATE
-    scheme: str = DEFAULT_SCHEME
     salt: int = 0
     min_pages: int = DEFAULT_MIN_PAGES
     min_faults: int = DEFAULT_MIN_FAULTS
@@ -87,10 +75,6 @@ class SamplingConfig:
     def __post_init__(self) -> None:
         if self.rate < 1:
             raise ValueError("sampling rate must be >= 1")
-        if self.scheme not in SAMPLING_SCHEMES:
-            known = ", ".join(SAMPLING_SCHEMES)
-            raise ValueError(
-                f"unknown sampling scheme {self.scheme!r}; known: {known}")
         if self.min_pages < 0:
             raise ValueError("min_pages must be >= 0")
         if self.min_faults < 0:
@@ -111,7 +95,10 @@ class SamplingConfig:
     def to_dict(self) -> dict[str, Any]:
         return {
             "rate": self.rate,
-            "scheme": self.scheme,
+            # The only membership rule.  Still emitted so sampled RunSpec
+            # digests (pinned in tests/test_sampling.py) and result-cache
+            # addresses keep their values.
+            "scheme": "stratified",
             "salt": self.salt,
             "min_pages": self.min_pages,
             "min_faults": self.min_faults,
@@ -121,12 +108,30 @@ class SamplingConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SamplingConfig":
+        """Inverse of :meth:`to_dict`; rejects unknown keys, so a typo
+        cannot silently run at a default."""
+        if not isinstance(data, Mapping):
+            raise TypeError(
+                f"sampling must be a mapping, got {type(data).__name__}")
+        unknown = set(data) - _FIELDS
+        if unknown:
+            raise ValueError(
+                f"unknown sampling field(s): {', '.join(sorted(unknown))}")
+        scheme = data.get("scheme", "stratified")
+        if scheme != "stratified":
+            raise ValueError(
+                f"sampling scheme {scheme!r} no longer exists: 'spatial', "
+                "'modulo' and 'temporal' were removed; only 'stratified' "
+                "remains")
         return cls(
             rate=data.get("rate", DEFAULT_RATE),
-            scheme=data.get("scheme", DEFAULT_SCHEME),
             salt=data.get("salt", 0),
             min_pages=data.get("min_pages", DEFAULT_MIN_PAGES),
             min_faults=data.get("min_faults", DEFAULT_MIN_FAULTS),
             groups=data.get("groups", DEFAULT_GROUPS),
             confidence=data.get("confidence", 0.95),
         )
+
+
+#: Keys :meth:`SamplingConfig.from_dict` accepts (``to_dict``'s keys).
+_FIELDS = frozenset(SamplingConfig().to_dict())

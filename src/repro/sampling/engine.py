@@ -2,8 +2,7 @@
 
 SHARDS-style spatial sampling for the hybrid-memory simulator: pick a
 deterministic 1-in-K subset of *pages* (:mod:`repro.trace.sampling` —
-frequency-stratified systematic selection by default, pure hash
-membership as the online-capable variant), replay only their requests
+frequency-stratified systematic selection), replay only their requests
 against a proportionally scaled frame budget
 (:meth:`HybridMemorySpec.sampled`), then scale the measured counters
 back up and score them against the *full* machine through the
@@ -27,8 +26,8 @@ proportions.  At rate 1 every input matches and the engine is
 bit-identical to ``engine="simulate"`` (pinned by
 ``tests/test_sampling.py``).
 
-Uncertainty comes from stratified page-group replicates: a secondary
-hash splits the sampled pages into ``groups`` disjoint sub-samples,
+Uncertainty comes from stratified page-group replicates: consecutive
+sampled ranks rotate through ``groups`` disjoint sub-samples,
 each simulated at rate ``K * groups``; the spread of their scaled
 metrics gives a standard error and a normal confidence interval per
 metric.  The replicates together replay roughly as many requests as
@@ -54,13 +53,7 @@ from repro.memory.specs import HybridMemorySpec
 from repro.mmu.simulator import PolicyFactory, RunResult, simulate
 from repro.sampling.config import SamplingConfig
 from repro.sampling.summary import MetricInterval, SamplingSummary
-from repro.trace.sampling import (
-    assign_groups,
-    page_groups,
-    page_membership,
-    sample_mask,
-    subset_trace,
-)
+from repro.trace.sampling import page_groups, page_membership, subset_trace
 from repro.trace.trace import Trace
 from repro.workloads.parsec import WorkloadInstance
 
@@ -103,7 +96,7 @@ def scale_accounting(
       so ``measured_reads``/``measured_writes`` are used verbatim, and
       hits are the residual ``measured - scaled faults``.  (Scaling
       hits by a sampled-request ratio instead couples the request
-      total to the hash draw's request mass, which on zipf-like traces
+      total to the sample's request mass, which on zipf-like traces
       has enormous variance: one missed hot page can halve it.)
     * **Hit composition** (DRAM vs NVM per direction) is the one thing
       only the replay knows; the sampled proportions split the exact
@@ -204,14 +197,10 @@ class _Membership:
     most once; membership and replicate-group decisions then run over
     the (small) unique-page array and broadcast back through the
     inverse, so redrawing at an escalated rate costs O(pages), not
-    another O(requests log requests) pass.  The ``temporal`` scheme
-    decides per *request* and keeps the slower request-level path; it
-    counts a draw's distinct pages through the same inverse.
+    another O(requests log requests) pass.
     """
 
-    def __init__(self, trace: Trace, scheme: str, salt: int) -> None:
-        self.trace = trace
-        self.scheme = scheme
+    def __init__(self, trace: Trace, salt: int) -> None:
         self.salt = salt
         index = trace.page_index()
         self.pages, self.inverse, self.counts = (
@@ -221,42 +210,21 @@ class _Membership:
     def total_pages(self) -> int:
         return int(self.pages.size)
 
-    def _distinct(self, mask: np.ndarray) -> int:
-        """Distinct pages among the masked requests."""
-        present = np.bincount(self.inverse[mask], minlength=self.pages.size)
-        return int(np.count_nonzero(present))
+    def _member(self, rate: int) -> np.ndarray:
+        return page_membership(
+            self.pages, self.counts, rate, "stratified", self.salt)
 
     def draw(self, rate: int) -> tuple[np.ndarray, int]:
         """Request mask and distinct-page count of a 1-in-``rate`` draw."""
-        if self.scheme == "temporal":
-            mask = sample_mask(self.trace, rate, self.scheme, self.salt)
-            return mask, self._distinct(mask)
-        member = page_membership(
-            self.pages, self.counts, rate, self.scheme, self.salt
-        )
+        member = self._member(rate)
         return member[self.inverse], int(np.count_nonzero(member))
 
     def replicate_draws(
         self, rate: int, groups: int
     ) -> list[tuple[np.ndarray, int]]:
         """The ``groups`` disjoint sub-draws of the 1-in-``rate`` draw."""
-        if self.scheme == "temporal":
-            mask = sample_mask(self.trace, rate, self.scheme, self.salt)
-            ids = assign_groups(
-                self.trace, groups, self.scheme, self.salt, rate=rate
-            )
-            distinct = self._distinct
-            draws = []
-            for group in range(groups):
-                sub = mask & (ids == group)
-                draws.append((sub, distinct(sub)))
-            return draws
-        member = page_membership(
-            self.pages, self.counts, rate, self.scheme, self.salt
-        )
-        ids = page_groups(
-            self.pages, self.counts, groups, self.scheme, self.salt, rate
-        )
+        member = self._member(rate)
+        ids = page_groups(self.counts, groups, rate)
         count = np.count_nonzero
         inverse = self.inverse
         draws = []
@@ -283,10 +251,10 @@ def _replay_subset(
     measured span (degenerate replicate).
 
     The frame budget scales by the *measured* page ratio (the
-    SHARDS-adj correction): a hash draw that lands 10% more pages than
-    ``1/rate`` expected gets 10% more frames, so the frames-per-page
-    capacity ratio — which the fault rate is extremely sensitive to —
-    matches the full configuration exactly rather than in expectation.
+    SHARDS-adj correction): a draw that lands more pages than
+    ``1/rate`` of the footprint gets proportionally more frames, so the
+    frames-per-page capacity ratio — which the fault rate is extremely
+    sensitive to — matches the full configuration exactly.
     """
     if not subset_pages:
         return None
@@ -406,9 +374,9 @@ def sample_spec(
 ) -> RunResult:
     """Sampled counterpart of ``RunSpec.execute()``.
 
-    Renders (or reuses) the workload, draws the hash sample, replays
-    it at the scaled frame budget, scales the counters back up, scores
-    them against the full machine, and attaches a
+    Renders (or reuses) the workload, draws the stratified page
+    sample, replays it at the scaled frame budget, scales the counters
+    back up, scores them against the full machine, and attaches a
     :class:`SamplingSummary` (with replicate confidence intervals) to
     the result.
     """
@@ -424,7 +392,7 @@ def sample_spec(
     )
     boundary = int(len(trace) * warmup) if warmup > 0.0 else 0
 
-    membership = _Membership(trace, config.scheme, config.salt)
+    membership = _Membership(trace, config.salt)
     total_pages = membership.total_pages
     measured_writes = int(np.count_nonzero(trace.is_write[boundary:]))
     measured_reads = len(trace) - boundary - measured_writes
@@ -475,7 +443,6 @@ def sample_spec(
     summary = SamplingSummary(
         rate=config.rate,
         effective_rate=rate,
-        scheme=config.scheme,
         salt=config.salt,
         sampled_pages=sampled_pages,
         total_pages=total_pages,

@@ -60,7 +60,6 @@ class SamplingSummary:
     #: ``min_pages`` clamp (equal unless the workload was too small).
     rate: int
     effective_rate: int
-    scheme: str
     salt: int
     #: Page coverage: distinct pages in the sample vs the full trace.
     sampled_pages: int
@@ -83,7 +82,6 @@ class SamplingSummary:
         return {
             "rate": self.rate,
             "effective_rate": self.effective_rate,
-            "scheme": self.scheme,
             "salt": self.salt,
             "sampled_pages": self.sampled_pages,
             "total_pages": self.total_pages,
@@ -103,7 +101,6 @@ class SamplingSummary:
         return cls(
             rate=data["rate"],
             effective_rate=data["effective_rate"],
-            scheme=data["scheme"],
             salt=data["salt"],
             sampled_pages=data["sampled_pages"],
             total_pages=data["total_pages"],

@@ -166,8 +166,10 @@ class ReproService:
     def spec_from_payload(self, payload: Mapping[str, Any]) -> RunSpec:
         """Build a :class:`RunSpec` from a tolerant request dict.
 
-        Unknown keys are rejected (a typo must not silently run the
-        default grid point).  ``source`` may be a full
+        Unknown keys are rejected, at the top level and inside
+        ``sampling``/``events`` (a typo must not silently run the
+        default grid point), and the policy is resolved, so a bad
+        request is a 400 before anything runs.  ``source`` may be a full
         :class:`SourceSpec` dict or just the digest string of a trace
         uploaded earlier this process; ``events`` may be ``true`` (a
         plain trace-collecting config), a dict, or absent.
@@ -187,30 +189,38 @@ class ReproService:
                 f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
         source = kwargs.get("source")
         if isinstance(source, str):
-            known = self.sources.get(source)
-            if known is None:
+            source = self.sources.get(source)
+            if source is None:
                 raise ServiceError(
-                    f"unknown source digest {source!r}; upload the trace "
-                    "through POST /traces first")
-            kwargs["source"] = known
-        events = kwargs.get("events")
-        if events is True:
+                    f"unknown source digest {kwargs['source']!r}; upload "
+                    "the trace through POST /traces first")
+        elif source is not None and not isinstance(source, SourceSpec):
+            try:
+                source = SourceSpec.from_dict(source)
+            except (KeyError, TypeError) as exc:
+                raise ServiceError(
+                    "source must be an uploaded trace's digest or a "
+                    f"SourceSpec object ({type(exc).__name__}: {exc})"
+                ) from exc
+        if source is not None:
+            kwargs["source"] = source
+            kwargs.setdefault("workload", source.name)
+        if kwargs.get("events") is True:
             kwargs["events"] = EventConfig(trace=True)
-        if kwargs.get("source") is not None:
-            kwargs.setdefault("workload", kwargs["source"].name
-                              if isinstance(kwargs["source"], SourceSpec)
-                              else kwargs["source"]["name"])
         if "workload" not in kwargs:
             raise ServiceError("spec needs a workload or a source")
-        if kwargs.get("source") is None \
-                and kwargs["workload"] not in WORKLOAD_NAMES:
+        if source is None and kwargs["workload"] not in WORKLOAD_NAMES:
             raise ServiceError(
                 f"unknown workload {kwargs['workload']!r} (and no source "
                 "given); known: " + ", ".join(WORKLOAD_NAMES))
         try:
-            return RunSpec(**kwargs)
+            spec = RunSpec(**kwargs)
+            spec.build_policy_factory()
+        except KeyError as exc:
+            raise ServiceError(str(exc.args[0])) from exc
         except (TypeError, ValueError) as exc:
             raise ServiceError(str(exc)) from exc
+        return spec
 
     # ------------------------------------------------------------------
     # Execution

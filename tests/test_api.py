@@ -63,7 +63,4 @@ def test_facade_exports_the_sampling_surface():
     assert api.SamplingConfig is sampling.SamplingConfig
     assert api.SamplingSummary is sampling.SamplingSummary
     assert api.MetricInterval is sampling.MetricInterval
-    assert api.SAMPLING_SCHEMES is trace_sampling.SAMPLING_SCHEMES
-    assert api.sample_mask is trace_sampling.sample_mask
-    assert api.assign_groups is trace_sampling.assign_groups
     assert api.subset_trace is trace_sampling.subset_trace

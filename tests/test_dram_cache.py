@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.sanitizer import SanitizedPolicy
 from repro.memory.devices import dram_spec, hdd_spec, pcm_spec
 from repro.memory.specs import HybridMemorySpec
 from repro.mmu.manager import MemoryManager
@@ -178,6 +179,9 @@ class TestDramCachePolicy:
     def test_full_run_validates(self):
         trace = zipf_workload(pages=128, requests=10_000, seed=6)
         spec = HybridMemorySpec.for_footprint(trace.unique_pages)
-        result = simulate(trace, spec, policy_factory("dram-cache"),
-                          validate_every=333)
+        factory = policy_factory("dram-cache")
+        result = simulate(
+            trace, spec,
+            lambda mm: SanitizedPolicy(factory(mm), deep_every=333),
+            sanitize=False)
         result.accounting.validate()

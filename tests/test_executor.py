@@ -190,7 +190,7 @@ class TestParallelExecutor:
     def test_crash_surfaces_after_batch_completes(self, crashy_policy):
         crashing = RunSpec("dedup", policy=crashy_policy, **SCALE)
         batch = GRID[:3] + [crashing]
-        executor = ParallelExecutor(jobs=JOBS, retries=1)
+        executor = ParallelExecutor(jobs=JOBS)
         with pytest.raises(ExecutorError) as excinfo:
             executor.submit(batch)
         error = excinfo.value

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sanitizer import SanitizedPolicy
 from repro.memory.devices import dram_spec, hdd_spec, pcm_spec
 from repro.memory.specs import HybridMemorySpec
 from repro.mmu.simulator import simulate
@@ -58,8 +59,11 @@ class TestConservationAndCapacity:
     def test_invariants(self, traces, policy_name, trace_name):
         trace = traces[trace_name]
         spec = _spec_for(trace)
-        result = simulate(trace, spec, policy_factory(policy_name),
-                          validate_every=1234)
+        factory = policy_factory(policy_name)
+        result = simulate(
+            trace, spec,
+            lambda mm: SanitizedPolicy(factory(mm), deep_every=1234),
+            sanitize=False)
         acct = result.accounting
         acct.validate()
         assert acct.total_requests == len(trace)
@@ -191,6 +195,9 @@ def test_every_policy_survives_arbitrary_small_traces(seed, write_ratio):
             spec = spec.as_dram_only()
         elif policy_name.startswith("nvm-only"):
             spec = spec.as_nvm_only()
-        result = simulate(trace, spec, policy_factory(policy_name),
-                          validate_every=150)
+        factory = policy_factory(policy_name)
+        result = simulate(
+            trace, spec,
+            lambda mm: SanitizedPolicy(factory(mm), deep_every=150),
+            sanitize=False)
         result.accounting.validate()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.sanitizer import SanitizedPolicy
 from repro.memory.devices import dram_spec, hdd_spec, pcm_spec
 from repro.memory.specs import HybridMemorySpec
 from repro.mmu.manager import MemoryManager
@@ -90,8 +91,11 @@ class TestPDRAMMechanics:
 class TestPDRAMBehaviour:
     def test_registered_and_runs_end_to_end(self, zipf_trace):
         spec = HybridMemorySpec.for_footprint(zipf_trace.unique_pages)
-        result = simulate(zipf_trace, spec, policy_factory("pdram"),
-                          validate_every=1000)
+        factory = policy_factory("pdram")
+        result = simulate(
+            zipf_trace, spec,
+            lambda mm: SanitizedPolicy(factory(mm), deep_every=1000),
+            sanitize=False)
         assert result.policy == "pdram"
         assert result.accounting.total_requests == len(zipf_trace)
 

@@ -12,9 +12,9 @@ The engine's load-bearing promises, pinned:
   through the on-disk result cache and the worker pool.
 * **Validation** — the one-engine-one-meaning rules: ``events=`` only
   on the simulator, ``sampling=`` only on the sampled engine.
-* **Membership consistency** — the unique-level fast path
-  (:func:`page_membership`) selects exactly the pages the request-level
-  :func:`sample_mask` does, for every per-page scheme.
+* **Membership** — :func:`page_membership` keeps exactly the pages a
+  plain-Python stratified reference keeps, and :func:`page_groups`
+  splits them into disjoint replicate groups that cover them all.
 * **Rate adaptation** — the ``min_faults`` floor escalates sparse-fault
   samples toward exact replay instead of reporting noise.
 """
@@ -32,11 +32,7 @@ from repro.memory.specs import HybridMemorySpec
 from repro.policies.registry import available_policies
 from repro.sampling import MetricInterval, SamplingConfig, SamplingSummary
 from repro.sampling.engine import _Membership
-from repro.trace.sampling import (
-    SAMPLING_SCHEMES,
-    page_membership,
-    sample_mask,
-)
+from repro.trace.sampling import hash_u64, page_groups, page_membership
 from repro.workloads.mix import mix_workloads
 from repro.workloads.parsec import WorkloadInstance
 from repro.workloads.synthetic import zipf_workload
@@ -99,16 +95,6 @@ def test_rate_one_is_bit_identical_on_parsec_mix(mix_instance, policy):
     assert _strip_sampling(samp) == _strip_sampling(full)
 
 
-@pytest.mark.parametrize("scheme", SAMPLING_SCHEMES)
-def test_rate_one_identity_holds_for_every_scheme(zipf_instance, scheme):
-    sampled = RunSpec("dedup", engine="sampled",
-                      sampling=SamplingConfig(rate=1, scheme=scheme))
-    exact = replace(sampled, engine="simulate", sampling=None)
-    full = exact.execute(instance=zipf_instance).to_dict()
-    samp = sampled.execute(instance=zipf_instance).to_dict()
-    assert _strip_sampling(samp) == _strip_sampling(full)
-
-
 # ----------------------------------------------------------------------
 # Identity: digests and cache behaviour
 # ----------------------------------------------------------------------
@@ -136,8 +122,7 @@ class TestSpecIdentity:
 
     def test_sampled_spec_round_trips_through_json(self):
         spec = RunSpec("dedup", engine="sampled",
-                       sampling=SamplingConfig(rate=4, scheme="spatial",
-                                               salt=3, groups=4))
+                       sampling=SamplingConfig(rate=4, salt=3, groups=4))
         back = RunSpec.from_dict(spec.to_dict())
         assert back == spec
         assert back.digest() == spec.digest()
@@ -200,30 +185,60 @@ class TestValidation:
 
 
 # ----------------------------------------------------------------------
-# Membership: unique-level fast path == request-level reference
+# Membership: the vectorized rule == a plain-Python reference
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("scheme",
-                         [s for s in SAMPLING_SCHEMES if s != "temporal"])
+def _reference_membership(pages, rate: int, salt: int) -> set[int]:
+    """Stratified membership from its definition: rank pages by request
+    count (hottest first, ties by page number) and keep every
+    ``rate``-th rank starting at the salted offset."""
+    counts: dict[int, int] = {}
+    for page in pages:
+        counts[page] = counts.get(page, 0) + 1
+    ranked = sorted(counts, key=lambda page: (-counts[page], page))
+    seed = int(hash_u64(np.asarray([salt], dtype=np.uint64))[0])
+    return set(ranked[seed % rate::rate])
+
+
+@pytest.mark.parametrize("salt", [0, 3])
 @pytest.mark.parametrize("rate", [1, 2, 8, 16])
-def test_page_membership_matches_sample_mask(zipf_instance, scheme, rate):
-    trace = zipf_instance.trace
-    pages, inverse, counts = np.unique(trace.pages, return_inverse=True,
-                                       return_counts=True)
-    member = page_membership(pages, counts, rate, scheme, salt=3)
-    mask = sample_mask(trace, rate, scheme, salt=3)
-    assert np.array_equal(member[inverse], mask)
-
-
-def test_page_membership_rejects_temporal(zipf_instance):
+def test_page_membership_matches_reference(zipf_instance, rate, salt):
     trace = zipf_instance.trace
     pages, counts = np.unique(trace.pages, return_counts=True)
-    with pytest.raises(ValueError):
-        page_membership(pages, counts, 4, "temporal", salt=0)
+    member = page_membership(pages, counts, rate, "stratified", salt)
+    expected = _reference_membership(trace.pages.tolist(), rate, salt)
+    assert set(pages[member].tolist()) == expected
+
+    groups = 4
+    ids = page_groups(counts, groups, rate)
+    parts = [set(pages[member & (ids == group)].tolist())
+             for group in range(groups)]
+    sizes = [len(part) for part in parts]
+    assert sum(sizes) == len(expected)
+    assert set().union(*parts) == expected
+    # Kept ranks deal round-robin into the groups: sizes differ by <= 1.
+    assert max(sizes) - min(sizes) <= 1
 
 
-@pytest.mark.parametrize("scheme", SAMPLING_SCHEMES)
-def test_membership_reads_the_trace_index(zipf_instance, scheme,
-                                          monkeypatch):
+@pytest.mark.parametrize("scheme", ["spatial", "modulo", "temporal"])
+def test_removed_schemes_are_rejected(zipf_instance, scheme):
+    pages, counts = np.unique(zipf_instance.trace.pages, return_counts=True)
+    with pytest.raises(ValueError, match="scheme"):
+        page_membership(pages, counts, 4, scheme)
+    with pytest.raises(ValueError, match="spatial.*modulo.*temporal"):
+        SamplingConfig.from_dict({"scheme": scheme})
+
+
+def test_sampling_config_round_trip_keeps_the_scheme_key():
+    payload = SamplingConfig(rate=8, salt=3).to_dict()
+    assert payload["scheme"] == "stratified"
+    assert SamplingConfig.from_dict(payload) == SamplingConfig(rate=8, salt=3)
+    with pytest.raises(ValueError, match="rte"):
+        SamplingConfig.from_dict({"rte": 8})
+    with pytest.raises(TypeError, match="mapping"):
+        SamplingConfig.from_dict(5)
+
+
+def test_membership_reads_the_trace_index(zipf_instance, monkeypatch):
     trace = zipf_instance.trace
     trace.page_index()
     sorted_sizes = []
@@ -237,7 +252,7 @@ def test_membership_reads_the_trace_index(zipf_instance, scheme,
     with monkeypatch.context() as patch:
         patch.setattr(np, "argsort", recording(np.argsort))
         patch.setattr(np, "unique", recording(np.unique))
-        membership = _Membership(trace, scheme, salt=3)
+        membership = _Membership(trace, salt=3)
         draws = [membership.draw(rate) for rate in (1, 4)]
         draws += membership.replicate_draws(4, 3)
     assert (len(trace),) not in sorted_sizes

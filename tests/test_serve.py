@@ -59,6 +59,32 @@ class TestServiceCore:
         with pytest.raises(ServiceError, match="unknown source digest"):
             service.spec_from_payload({"source": "feedfacedeadbeef"})
 
+    @pytest.mark.parametrize("fields, key", [
+        ({"engine": "sampled", "sampling": {"rte": 8}}, "rte"),
+        ({"events": {"intervl": 5}}, "intervl"),
+        ({"engine": "sampled", "sampling": 5}, "sampling"),
+        ({"events": 5}, "events"),
+        ({"source": 5}, "source"),
+        ({"source": {}}, "source"),
+        ({"engine": "sampled", "sampling": {"scheme": "spatial"}}, "scheme"),
+    ], ids=["sampling-typo", "events-typo", "sampling-number",
+            "events-number", "source-number", "source-empty",
+            "removed-scheme"])
+    def test_bad_nested_fields_rejected(self, service, fields, key):
+        with pytest.raises(ServiceError, match=key) as excinfo:
+            service.spec_from_payload({**RUN, **fields})
+        assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("fields, key", [
+        ({"policy": "nope"}, "nope"),
+        ({"policy": "proposed", "policy_overrides": {"bogus": 1}}, "bogus"),
+    ], ids=["unknown-policy", "unknown-override"])
+    def test_bad_policy_rejected_before_running(self, service, fields, key):
+        with pytest.raises(ServiceError, match=key) as excinfo:
+            service.run({"workload": "ferret", **fields})
+        assert excinfo.value.status == 400
+        assert service.executor.stats.submitted == 0
+
     def test_stream_rejects_fast_engines(self, service):
         with pytest.raises(ServiceError, match="no event stream"):
             service.run({**RUN, "engine": "analytic"}, stream=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.sanitizer import SanitizedPolicy
 from repro.memory.specs import HybridMemorySpec
 from repro.mmu.simulator import HybridMemorySimulator, simulate
 from repro.policies.registry import policy_factory
@@ -36,9 +37,12 @@ class TestSimulatorBasics:
         assert first.amat == second.amat
         assert first.appr == second.appr
 
-    def test_validate_every_catches_nothing_on_healthy_run(self, trace, spec):
-        result = simulate(trace, spec, policy_factory("clock-dwf"),
-                          validate_every=500)
+    def test_deep_checks_catch_nothing_on_healthy_run(self, trace, spec):
+        factory = policy_factory("clock-dwf")
+        result = simulate(
+            trace, spec,
+            lambda mm: SanitizedPolicy(factory(mm), deep_every=500),
+            sanitize=False)
         assert result.accounting.total_requests == len(trace)
 
     def test_result_fields(self, trace, spec):
@@ -108,8 +112,11 @@ class TestCrossPolicyInvariants:
         "never-migrate", "static-partition",
     ])
     def test_full_validation_run(self, trace, spec, policy_name):
-        result = simulate(trace, spec, policy_factory(policy_name),
-                          validate_every=777)
+        factory = policy_factory(policy_name)
+        result = simulate(
+            trace, spec,
+            lambda mm: SanitizedPolicy(factory(mm), deep_every=777),
+            sanitize=False)
         acct = result.accounting
         acct.validate()
         # residency never exceeds capacity (checked indirectly: fills
