@@ -95,6 +95,17 @@ def test_rate_one_is_bit_identical_on_parsec_mix(mix_instance, policy):
     assert _strip_sampling(samp) == _strip_sampling(full)
 
 
+@pytest.mark.parametrize("scheme", ["stratified"])
+def test_rate_one_identity_holds_for_every_scheme(zipf_instance, scheme):
+    sampled = RunSpec("dedup", engine="sampled",
+                      sampling=SamplingConfig.from_dict(
+                          {"rate": 1, "scheme": scheme}))
+    exact = replace(sampled, engine="simulate", sampling=None)
+    full = exact.execute(instance=zipf_instance).to_dict()
+    samp = sampled.execute(instance=zipf_instance).to_dict()
+    assert _strip_sampling(samp) == _strip_sampling(full)
+
+
 # ----------------------------------------------------------------------
 # Identity: digests and cache behaviour
 # ----------------------------------------------------------------------
