@@ -317,10 +317,11 @@ class SimulatorConstructionRule(LintRule):
     ``HybridMemorySimulator`` may only be instantiated inside
     ``repro.experiments`` (the :class:`RunSpec`/executor engine) and
     ``repro.mmu`` (where it lives).  Everything else goes through
-    ``RunSpec.execute()`` / ``ParallelExecutor.submit()`` /
-    ``repro.mmu.simulate`` so every evaluation shares one simulation
-    recipe — warm-up handling, sanitizer wiring, gap proration — and
-    every run is cacheable by spec digest.
+    ``RunSpec.execute()`` / ``ParallelExecutor.submit()`` so every
+    evaluation shares one run recipe — ``RunSpec.resolve`` for the
+    instance, machine and warm-up, ``RunResult.scored`` for the Eq. 1-3
+    scoring every engine uses — and every run is cacheable by spec
+    digest.
     """
 
     rule_id = "R011"

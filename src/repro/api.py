@@ -142,7 +142,6 @@ from repro.obs import (
     IntervalAggregator,
     IntervalLedger,
     IntervalMetrics,
-    JsonlTraceSink,
     MigrationEvent,
     MigrationLedger,
     PageFaultEvent,
@@ -253,7 +252,6 @@ __all__ = [
     "IntervalAggregator",
     "IntervalLedger",
     "IntervalMetrics",
-    "JsonlTraceSink",
     "MigrationEvent",
     "MigrationLedger",
     "PageFaultEvent",

@@ -63,39 +63,18 @@ from repro.experiments.runspec import ENGINES, RunSpec
 from repro.experiments.sweep import dram_ratio_sweep, threshold_sweep, window_sweep
 from repro.experiments.tables import table_ii, table_iii, table_iv
 from repro.memory.accounting import AccessAccounting
-from repro.memory.endurance import compute_nvm_writes
-from repro.memory.metrics import compute_performance
-from repro.memory.power import compute_power
-from repro.memory.specs import HybridMemorySpec
-from repro.mmu.simulator import SANITIZE_ENV, RunResult, simulate
+from repro.mmu.simulator import SANITIZE_ENV, RunResult
 from repro.obs.config import EventConfig
 from repro.obs.summary import EventSummary
-from repro.policies.registry import available_policies, policy_factory
+from repro.policies.registry import available_policies
 from repro.sampling import SamplingConfig
-from repro.trace.source import materialize, open_trace_source
+from repro.trace.source import TraceStore, materialize, open_trace_source
 from repro.trace.stats import characterize
-from repro.trace.trace import Trace
 from repro.workloads.parsec import (
     DEFAULT_REQUEST_SCALE,
     PROFILES,
     WORKLOAD_NAMES,
-    parsec_workload,
 )
-
-
-def _load_trace(path: str) -> Trace:
-    return materialize(open_trace_source(path))
-
-
-def _resolve_workload(args) -> tuple[Trace, HybridMemorySpec, float, float]:
-    """Trace + spec + gap + warmup from --workload or --trace."""
-    if args.trace:
-        trace = _load_trace(args.trace)
-        spec = HybridMemorySpec.for_footprint(max(trace.unique_pages, 2))
-        return trace, spec, 0.0, args.warmup
-    instance = parsec_workload(args.workload, seed=args.seed)
-    return (instance.trace, instance.spec, instance.inter_request_gap,
-            instance.warmup_fraction if args.warmup < 0 else args.warmup)
 
 
 # ----------------------------------------------------------------------
@@ -128,8 +107,7 @@ def _cmd_policies(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
-    trace = _load_trace(args.trace)
-    stats = characterize(trace)
+    stats = characterize(materialize(open_trace_source(args.trace)))
     rows = [
         ("name", stats.name),
         ("requests", f"{stats.total_requests:,}"),
@@ -149,16 +127,19 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    trace, spec, gap, warmup = _resolve_workload(args)
-    if args.policy.startswith("dram-only"):
-        spec = spec.as_dram_only()
-    elif args.policy.startswith("nvm-only"):
-        spec = spec.as_nvm_only()
-    result = simulate(
-        trace, spec, policy_factory(args.policy),
-        inter_request_gap=gap, warmup_fraction=max(warmup, 0.0),
-        sanitize=True if args.sanitize else None,
-    )
+    if args.sanitize:
+        os.environ[SANITIZE_ENV] = "1"
+    warmup = None if args.warmup < 0 else args.warmup
+    if args.trace:
+        # A trace file is referenced in place (the store copies only
+        # in-memory streams) and replayed chunk by chunk.
+        source = TraceStore(DEFAULT_CACHE_DIR).add(args.trace)
+        spec = RunSpec.core(source.name, args.policy, source=source,
+                            warmup_fraction=warmup)
+    else:
+        spec = RunSpec.core(args.workload, args.policy, seed=args.seed,
+                            warmup_fraction=warmup)
+    result = spec.execute()
     accounting = result.accounting
     rows = [
         ("workload", result.workload),
@@ -278,6 +259,17 @@ def _write_event_traces(
               f"({spec.label()}) to {target}")
 
 
+def _memo_events(
+    runner: ExperimentRunner,
+) -> list[tuple[RunSpec, EventSummary | None]]:
+    """The event summaries of every run ``runner`` holds, in
+    :meth:`RunSpec.key` order (serial, pooled and cache-hit runs list
+    identically)."""
+    return sorted(((spec, result.events)
+                   for spec, result in runner.runs.items()),
+                  key=lambda pair: pair[0].key())
+
+
 def _cmd_run(args) -> int:
     if _engine_conflict(args):
         return 2
@@ -341,8 +333,7 @@ def _cmd_figure(args) -> int:
             print()
         print(render_figure(FIGURE_BUILDERS[figure_id](runner)))
     if args.events:
-        _write_event_traces(args.events,
-                            runner.executor.collected_events())
+        _write_event_traces(args.events, _memo_events(runner))
     return 0
 
 
@@ -392,8 +383,7 @@ def _cmd_claims(args) -> int:
     passed = sum(1 for r in results if r.holds)
     print(f"\n{passed}/{len(results)} claims hold")
     if args.events:
-        _write_event_traces(args.events,
-                            runner.executor.collected_events())
+        _write_event_traces(args.events, _memo_events(runner))
     return 0 if claims_hold(results) else 1
 
 
@@ -439,21 +429,14 @@ def _cmd_profile(args) -> int:
 def _cmd_sweep(args) -> int:
     if _engine_conflict(args):
         return 2
-    executor = _executor_from(args)
-    events = _event_config(args)
-    sampling = _sampling_config(args)
-    if args.kind == "threshold":
-        points = threshold_sweep(args.workload, seed=args.seed,
-                                 executor=executor, events=events,
-                                 engine=args.engine, sampling=sampling)
-    elif args.kind == "window":
-        points = window_sweep(args.workload, seed=args.seed,
-                              executor=executor, events=events,
-                              engine=args.engine, sampling=sampling)
-    else:
-        points = dram_ratio_sweep(args.workload, seed=args.seed,
-                                  executor=executor, events=events,
-                                  engine=args.engine, sampling=sampling)
+    # The runner's memo keeps the sweep's (spec, result) pairs for the
+    # --events writer.
+    runner = ExperimentRunner(executor=_executor_from(args))
+    sweep = {"threshold": threshold_sweep, "window": window_sweep,
+             "dram-ratio": dram_ratio_sweep}[args.kind]
+    points = sweep(args.workload, seed=args.seed, executor=runner,
+                   events=_event_config(args), engine=args.engine,
+                   sampling=_sampling_config(args))
     print(render_table(
         [points[0].parameter, "memory time (ns)", "APPR (nJ)",
          "promotions", "demotions", "NVM writes"],
@@ -466,7 +449,7 @@ def _cmd_sweep(args) -> int:
         title=f"{args.kind} sweep on {args.workload}",
     ))
     if args.events:
-        _write_event_traces(args.events, executor.collected_events())
+        _write_event_traces(args.events, _memo_events(runner))
     return 0
 
 
@@ -528,26 +511,25 @@ def _reconstruct(result: RunResult) -> tuple[bool, str]:
             wear_totals[name] = wear_totals.get(name, 0) + row.wear[name]
     if totals != result.accounting.snapshot():
         return False, "interval accounting deltas != final counters"
-    accounting = AccessAccounting(**totals)
-    performance = compute_performance(accounting, result.spec)
-    power = compute_power(accounting, result.spec, performance,
-                          inter_request_gap=summary.inter_request_gap)
-    nvm_writes = compute_nvm_writes(accounting, result.spec)
+    rebuilt = RunResult.scored(
+        result.workload, result.policy, result.spec,
+        AccessAccounting(**totals), result.wear, summary.inter_request_gap,
+    )
     checks = [
-        ("AMAT", performance.amat, result.performance.amat),
-        ("APPR", power.appr, result.power.appr),
-        ("NVM writes", nvm_writes.total, result.nvm_writes.total),
+        ("AMAT", rebuilt.amat, result.amat),
+        ("APPR", rebuilt.appr, result.appr),
+        ("NVM writes", rebuilt.nvm_writes.total, result.nvm_writes.total),
     ]
-    for name, rebuilt, final in checks:
-        if rebuilt != final:
-            return False, f"{name}: rebuilt {rebuilt!r} != final {final!r}"
+    for name, value, final in checks:
+        if value != final:
+            return False, f"{name}: rebuilt {value!r} != final {final!r}"
     for name, value in wear_totals.items():
         if value != getattr(result.wear, name):
             return False, (f"wear {name}: rebuilt {value} != "
                            f"final {getattr(result.wear, name)}")
-    return True, (f"AMAT {performance.amat * 1e9:.3f} ns, "
-                  f"APPR {power.appr * 1e9:.3f} nJ, "
-                  f"NVM writes {nvm_writes.total:,}")
+    return True, (f"AMAT {rebuilt.amat * 1e9:.3f} ns, "
+                  f"APPR {rebuilt.appr * 1e9:.3f} nJ, "
+                  f"NVM writes {rebuilt.nvm_writes.total:,}")
 
 
 def _cmd_events(args) -> int:

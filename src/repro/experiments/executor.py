@@ -34,8 +34,7 @@ from typing import Callable, Sequence
 import repro
 from repro.experiments.runspec import RunSpec
 from repro.mmu.simulator import RunResult
-from repro.obs.summary import EventSummary
-from repro.workloads.parsec import WorkloadInstance
+from repro.workloads.parsec import MEMO_LIMIT, WorkloadInstance
 
 #: Default location of the persistent result cache.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -180,7 +179,8 @@ class ResultCache:
 # ----------------------------------------------------------------------
 #: Per-process rendered-workload cache: with ``fork`` each worker keeps
 #: its own copy, so a workload is rendered at most once per worker even
-#: when it appears in many specs.
+#: when it appears in many specs.  Cleared whole at :data:`MEMO_LIMIT`,
+#: so a resident process fed fresh seeds keeps a bounded set.
 _INSTANCES: dict[tuple, WorkloadInstance] = {}
 
 
@@ -191,9 +191,13 @@ def _rendered(spec: RunSpec) -> WorkloadInstance:
         # name must not collide in the per-worker instance cache.
         spec.source.digest if spec.source is not None else None,
     )
-    if key not in _INSTANCES:
-        _INSTANCES[key] = spec.render()
-    return _INSTANCES[key]
+    instance = _INSTANCES.get(key)
+    if instance is None:
+        instance = spec.render()
+        if len(_INSTANCES) >= MEMO_LIMIT:
+            _INSTANCES.clear()
+        _INSTANCES[key] = instance
+    return instance
 
 
 def _instance_for(spec: RunSpec) -> WorkloadInstance | None:
@@ -302,10 +306,6 @@ class ParallelExecutor:
         self.cache = cache
         self.progress = progress
         self.stats = ExecutorStats()
-        #: Event summaries of every completed event-bearing spec (the
-        #: summaries ride on RunResult, so cache hits and worker-pool
-        #: results land here alike).
-        self.event_summaries: dict[RunSpec, "EventSummary"] = {}
 
     # ------------------------------------------------------------------
     def submit(self, specs: Sequence[RunSpec]) -> list[RunResult]:
@@ -328,8 +328,6 @@ class ParallelExecutor:
         def _completed(spec: RunSpec, result: RunResult) -> None:
             nonlocal done
             results[spec] = result
-            if result.events is not None:
-                self.event_summaries[spec] = result.events
             done += 1
             if self.progress is not None:
                 self.progress(done, total, spec)
@@ -392,17 +390,6 @@ class ParallelExecutor:
             self.stats.failures += len(failures)
             raise ExecutorError(failures, results)
         return [results[spec] for spec in specs]
-
-    # ------------------------------------------------------------------
-    def collected_events(self) -> list[tuple[RunSpec, "EventSummary"]]:
-        """Event summaries collected so far, in deterministic order.
-
-        Sorted by :meth:`RunSpec.key`, so serial and ``jobs=N`` runs
-        (and cache-hit replays) report identical sequences.
-        """
-        return sorted(
-            self.event_summaries.items(), key=lambda item: item[0].key()
-        )
 
     # ------------------------------------------------------------------
     def _run_with_retries(

@@ -84,7 +84,9 @@ class ExperimentRunner:
         self.sampling = sampling
         self.executor = executor or ParallelExecutor(jobs=jobs, cache=cache)
         self._instances: dict[str, WorkloadInstance] = {}
-        self._runs: dict[RunSpec, RunResult] = {}
+        #: Every result this runner has delivered, by spec (the memo
+        #: ``submit`` serves repeats from).
+        self.runs: dict[RunSpec, RunResult] = {}
 
     # ------------------------------------------------------------------
     def workload(self, name: str) -> WorkloadInstance:
@@ -125,11 +127,11 @@ class ExperimentRunner:
         runs in parallel when the executor has workers).
         """
         missing = [spec for spec in dict.fromkeys(specs)
-                   if spec not in self._runs]
+                   if spec not in self.runs]
         if missing:
             for spec, result in zip(missing, self.executor.submit(missing)):
-                self._runs[spec] = result
-        return [self._runs[spec] for spec in specs]
+                self.runs[spec] = result
+        return [self.runs[spec] for spec in specs]
 
     def runs_for(self, workload_name: str,
                  policies: tuple[str, ...] = CORE_POLICIES) -> WorkloadRuns:

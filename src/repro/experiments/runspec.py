@@ -12,9 +12,11 @@ warm-up fraction.  It is frozen, hashable and picklable, so it can be
   (:mod:`repro.experiments.executor`).
 
 Everything that used to construct :class:`HybridMemorySimulator` by
-hand — the experiment runner, the sweeps, the examples — now goes
-through :meth:`RunSpec.execute`, so all evaluation paths share one
-simulation recipe (and the ``R011`` lint rule keeps it that way).
+hand — the experiment runner, the sweeps, the examples, ``repro
+simulate`` — now goes through :meth:`RunSpec.execute`, so all
+evaluation paths share one simulation recipe (and the ``R011`` lint
+rule keeps it that way).  :meth:`RunSpec.resolve` is the one place an
+engine's inputs (instance, machine, warm-up) are worked out.
 """
 
 from __future__ import annotations
@@ -418,6 +420,19 @@ class RunSpec:
             spec = SPEC_TRANSFORMS[name](spec, *args)
         return spec
 
+    def resolve(
+        self, instance: WorkloadInstance | None = None,
+    ) -> tuple[WorkloadInstance, HybridMemorySpec, float]:
+        """What every engine evaluates: the rendered instance (``instance``
+        when given, else :meth:`render`), the transformed machine and
+        the warm-up fraction (the spec's override, else the
+        instance's own)."""
+        if instance is None:
+            instance = self.render()
+        warmup = (instance.warmup_fraction if self.warmup_fraction is None
+                  else self.warmup_fraction)
+        return instance, self.machine_spec(instance), warmup
+
     def build_policy_factory(self) -> PolicyFactory:
         """Policy factory resolved from the registry plus overrides."""
         return policy_factory(self.policy, dict(self.policy_overrides) or None)
@@ -435,47 +450,38 @@ class RunSpec:
         substitutes the policy factory — used by studies that need the
         policy *object* afterwards (e.g. the adaptive-threshold
         comparison); such runs bypass the result cache because the
-        factory is not part of the spec's identity (and are
-        necessarily simulations: the analytic engine has no policy
-        object to hand back).
+        factory is not part of the spec's identity, and only the
+        simulate engine takes one (the fast engines hand back no
+        policy object).
         """
-        if self.engine == "analytic":
+        if self.engine != "simulate":
             if factory is not None:
                 raise ValueError(
-                    "engine=\"analytic\" cannot honour a custom policy "
-                    "factory; use engine=\"simulate\"")
-            from repro.model.estimator import estimate_spec
+                    f"engine=\"{self.engine}\" cannot honour a custom "
+                    "policy factory; use engine=\"simulate\"")
+            if self.engine == "analytic":
+                from repro.model.estimator import estimate_spec
 
-            return estimate_spec(self, instance=instance)
-        if self.engine == "sampled":
+                return estimate_spec(self, instance=instance)
             from repro.sampling.engine import sample_spec
 
-            return sample_spec(self, instance=instance, factory=factory)
+            return sample_spec(self, instance=instance)
         if instance is None and self.source is not None:
             # Stream the backing file chunk by chunk: peak memory is
             # one chunk regardless of trace length.  Bit-identical to
-            # the materialised replay below (the chunk-boundary
-            # equivalence suite pins this), so both paths share one
-            # cache entry.
-            simulator = HybridMemorySimulator(
-                self._transform(self.source_machine()),
-                factory if factory is not None
-                else self.build_policy_factory(),
-                events=self.events,
-            )
-            warmup = (0.0 if self.warmup_fraction is None
-                      else self.warmup_fraction)
-            return simulator.run_source(
-                self.source.open(), warmup_fraction=warmup
-            )
-        if instance is None:
-            instance = self.render()
+            # replaying the rendered instance (the chunk-boundary
+            # equivalence suite pins this), so both share one cache
+            # entry.
+            source, gap = self.source.open(), 0.0
+            machine = self._transform(self.source_machine())
+            warmup = self.warmup_fraction or 0.0
+        else:
+            instance, machine, warmup = self.resolve(instance)
+            source, gap = instance.trace, instance.inter_request_gap
         simulator = HybridMemorySimulator(
-            self.machine_spec(instance),
+            machine,
             factory if factory is not None else self.build_policy_factory(),
-            inter_request_gap=instance.inter_request_gap,
+            inter_request_gap=gap,
             events=self.events,
         )
-        warmup = (instance.warmup_fraction if self.warmup_fraction is None
-                  else self.warmup_fraction)
-        return simulator.run(instance.trace, warmup_fraction=warmup)
+        return simulator.run(source, warmup_fraction=warmup)

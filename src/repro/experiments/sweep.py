@@ -20,6 +20,7 @@ from typing import Sequence
 from repro.core.adaptive import AdaptiveMigrationPolicy
 from repro.core.config import MigrationConfig
 from repro.experiments.executor import ParallelExecutor
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.runspec import RunSpec
 from repro.mmu.simulator import RunResult
 from repro.obs.config import EventConfig
@@ -54,8 +55,13 @@ class SweepPoint:
         )
 
 
+#: What a sweep submits through: an executor, or a runner whose memo
+#: keeps the (spec, result) pairs for the caller.
+Submitter = ParallelExecutor | ExperimentRunner
+
+
 def _submit(specs: Sequence[RunSpec],
-            executor: ParallelExecutor | None) -> list[RunResult]:
+            executor: Submitter | None) -> list[RunResult]:
     return (executor or ParallelExecutor(jobs=1)).submit(list(specs))
 
 
@@ -64,7 +70,7 @@ def threshold_sweep(
     thresholds: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
     base_config: MigrationConfig | None = None,
     seed: int = 2016,
-    executor: ParallelExecutor | None = None,
+    executor: Submitter | None = None,
     events: EventConfig | None = None,
     engine: str = "simulate",
     sampling: SamplingConfig | None = None,
@@ -73,8 +79,9 @@ def threshold_sweep(
 
     The write threshold tracks at half the read threshold, preserving
     the scheme's write-priority rule.  ``events`` attaches the
-    observability bus to every point (callers read the per-spec
-    summaries back off the executor).  ``engine="analytic"`` evaluates
+    observability bus to every point (submit through an
+    :class:`ExperimentRunner` to read the per-spec summaries back off
+    its memo).  ``engine="analytic"`` evaluates
     the closed-form estimator instead of simulating each point;
     ``engine="sampled"`` replays a spatial page sample per point
     (``sampling`` tunes it).
@@ -107,7 +114,7 @@ def window_sweep(
     workload: str = "dedup",
     fractions: Sequence[float] = (0.02, 0.05, 0.1, 0.2, 0.5, 1.0),
     seed: int = 2016,
-    executor: ParallelExecutor | None = None,
+    executor: Submitter | None = None,
     events: EventConfig | None = None,
     engine: str = "simulate",
     sampling: SamplingConfig | None = None,
@@ -142,7 +149,7 @@ def dram_ratio_sweep(
     workload: str = "dedup",
     ratios: Sequence[float] = (0.05, 0.1, 0.2, 0.3, 0.5),
     seed: int = 2016,
-    executor: ParallelExecutor | None = None,
+    executor: Submitter | None = None,
     events: EventConfig | None = None,
     engine: str = "simulate",
     sampling: SamplingConfig | None = None,

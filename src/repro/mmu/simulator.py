@@ -24,7 +24,7 @@ from repro.memory.metrics import PerformanceBreakdown, compute_performance
 from repro.memory.power import PowerBreakdown, compute_power
 from repro.memory.specs import HybridMemorySpec
 from repro.mmu.manager import MemoryManager
-from repro.obs.bus import EventBus, Sink
+from repro.obs.bus import EventBus
 from repro.obs.config import EventConfig
 from repro.obs.sinks import (
     BeneficialMigrationClassifier,
@@ -140,6 +140,55 @@ class RunResult:
             ),
         )
 
+    @classmethod
+    def scored(
+        cls,
+        workload: str,
+        policy: str,
+        spec: HybridMemorySpec,
+        accounting: AccessAccounting,
+        wear: WearAccounting,
+        inter_request_gap: float = 0.0,
+        events: EventSummary | None = None,
+        sampling: SamplingSummary | None = None,
+    ) -> "RunResult":
+        """Score counters with the paper's models: the one recipe.
+
+        Eq. 1 (AMAT), Eq. 2-3 (APPR, with ``inter_request_gap``
+        prorating static power), the NVM write volume and the endurance
+        report over the run's elapsed time.  Every engine — exact
+        replay, the analytic estimator, the sampled engine's point
+        estimate and replicates — and the ``repro events``
+        reconstruction score through here, so their numbers cannot
+        drift apart.
+        """
+        performance = compute_performance(accounting, spec)
+        power = compute_power(
+            accounting, spec, performance,
+            inter_request_gap=inter_request_gap,
+        )
+        nvm_writes = compute_nvm_writes(accounting, spec)
+        elapsed = (
+            (performance.memory_time + inter_request_gap)
+            * accounting.total_requests
+        )
+        endurance = endurance_report(
+            wear, spec, elapsed_seconds=elapsed or None
+        )
+        return cls(
+            workload=workload,
+            policy=policy,
+            spec=spec,
+            accounting=accounting,
+            wear=wear,
+            performance=performance,
+            power=power,
+            nvm_writes=nvm_writes,
+            endurance=endurance,
+            events=events,
+            sampling=sampling,
+        )
+
     def summary(self) -> dict[str, float]:
         """Flat metric dict used by reports and regression tests."""
         accounting = self.accounting
@@ -167,7 +216,7 @@ class HybridMemorySimulator:
         inter_request_gap: float = 0.0,
         sanitize: bool | None = None,
         batch: bool = True,
-        events: EventConfig | EventBus | None = None,
+        events: EventConfig | None = None,
     ) -> None:
         """
         Parameters
@@ -195,10 +244,7 @@ class HybridMemorySimulator:
             hot paths stay a single predictable branch away from the
             uninstrumented code.  An :class:`EventConfig` attaches the
             standard sinks for the measured region and publishes an
-            :class:`EventSummary` on the result.  A pre-built
-            :class:`EventBus` (caller-owned sinks, e.g. a streaming
-            :class:`JsonlTraceSink`) is attached as-is and no summary
-            is built.
+            :class:`EventSummary` on the result.
         """
         self.spec = spec
         self.mm = MemoryManager(spec)
@@ -287,7 +333,7 @@ class HybridMemorySimulator:
         bus: EventBus | None = None
         if self.events is not None:
             measured_total = total - boundary if total is not None else None
-            bus = self._build_bus(measured_total)
+            bus, summarize = self._build_bus(self.events, measured_total)
         if bus is not None and boundary == 0:
             self.mm.events = bus
         try:
@@ -300,69 +346,53 @@ class HybridMemorySimulator:
                 f"{boundary}-request warm-up region")
         if bus is not None:
             bus.finish(self.mm)
-            self._event_summary = self._summarize(bus)
+            self._event_summary = summarize()
         # End-of-run enforcement: every run must leave the policy's
         # structures consistent with the manager's, or the scores are
         # bookkeeping artifacts.
         self.policy.validate()
         return self.result(workload=source.name)
 
-    def _build_bus(self, measured_requests: int | None) -> EventBus:
-        events = self.events
-        if isinstance(events, EventBus):
-            if events.interval <= 0:
-                events.interval = self._resolve_interval(
-                    EventConfig(), measured_requests
-                )
-            return events
-        assert isinstance(events, EventConfig)
-        sinks: list[Sink] = [
-            IntervalAggregator(self.spec, self.inter_request_gap)
-        ]
-        if events.classify:
-            sinks.append(BeneficialMigrationClassifier(self.spec))
-        if events.trace:
-            sinks.append(BufferSink())
-        return EventBus(sinks, interval=self._resolve_interval(
-            events, measured_requests
-        ))
-
-    @staticmethod
-    def _resolve_interval(config: EventConfig,
-                          measured_requests: int | None) -> int:
+    def _build_bus(
+        self, config: EventConfig, measured_requests: int | None,
+    ) -> tuple[EventBus, Callable[[], EventSummary]]:
+        """The bus with the standard sinks, and the function that
+        distils them into an :class:`EventSummary` once it finished."""
         if config.interval > 0:
-            return config.interval
-        if measured_requests is None:
+            interval = config.interval
+        elif measured_requests is None:
             raise ValueError(
                 "bucket-derived event intervals need a source of known "
                 "length; set an explicit EventConfig(interval=N) for "
                 "streaming sources")
-        return config.resolve_interval(measured_requests)
-
-    def _summarize(self, bus: EventBus) -> EventSummary | None:
-        if not isinstance(self.events, EventConfig):
-            return None  # caller-owned bus: the caller owns the sinks
-        aggregator = classifier = buffer = None
-        for sink in bus.sinks:
-            if isinstance(sink, IntervalAggregator):
-                aggregator = sink
-            elif isinstance(sink, BeneficialMigrationClassifier):
-                classifier = sink
-            elif isinstance(sink, BufferSink):
-                buffer = sink
-        return EventSummary(
-            interval=bus.interval,
-            requests=bus.clock,
-            events=bus.events_seen,
-            inter_request_gap=self.inter_request_gap,
-            series=aggregator.series if aggregator is not None else (),
-            migrations=(
-                classifier.ledger if classifier is not None else None
-            ),
-            trace_lines=(
-                tuple(buffer.lines) if buffer is not None else ()
-            ),
+        else:
+            interval = config.resolve_interval(measured_requests)
+        aggregator = IntervalAggregator(self.spec, self.inter_request_gap)
+        classifier = (BeneficialMigrationClassifier(self.spec)
+                      if config.classify else None)
+        buffer = BufferSink() if config.trace else None
+        bus = EventBus(
+            [sink for sink in (aggregator, classifier, buffer)
+             if sink is not None],
+            interval=interval,
         )
+
+        def summarize() -> EventSummary:
+            return EventSummary(
+                interval=bus.interval,
+                requests=bus.clock,
+                events=bus.events_seen,
+                inter_request_gap=self.inter_request_gap,
+                series=aggregator.series,
+                migrations=(
+                    classifier.ledger if classifier is not None else None
+                ),
+                trace_lines=(
+                    tuple(buffer.lines) if buffer is not None else ()
+                ),
+            )
+
+        return bus, summarize
 
     def _drive(
         self,
@@ -438,30 +468,9 @@ class HybridMemorySimulator:
 
     def result(self, workload: str = "trace") -> RunResult:
         """Score the accumulated events (callable mid-run as well)."""
-        accounting = self.mm.accounting
-        performance = compute_performance(accounting, self.spec)
-        power = compute_power(
-            accounting, self.spec, performance,
-            inter_request_gap=self.inter_request_gap,
-        )
-        nvm_writes = compute_nvm_writes(accounting, self.spec)
-        elapsed = (
-            (performance.memory_time + self.inter_request_gap)
-            * accounting.total_requests
-        )
-        endurance = endurance_report(
-            self.mm.wear, self.spec, elapsed_seconds=elapsed or None
-        )
-        return RunResult(
-            workload=workload,
-            policy=self.policy.name,
-            spec=self.spec,
-            accounting=accounting,
-            wear=self.mm.wear,
-            performance=performance,
-            power=power,
-            nvm_writes=nvm_writes,
-            endurance=endurance,
+        return RunResult.scored(
+            workload, self.policy.name, self.spec, self.mm.accounting,
+            self.mm.wear, self.inter_request_gap,
             events=self._event_summary,
         )
 
@@ -475,7 +484,7 @@ def simulate(
     warmup_requests: int | None = None,
     sanitize: bool | None = None,
     batch: bool = True,
-    events: EventConfig | EventBus | None = None,
+    events: EventConfig | None = None,
 ) -> RunResult:
     """One-shot convenience wrapper around :class:`HybridMemorySimulator`."""
     simulator = HybridMemorySimulator(

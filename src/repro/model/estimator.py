@@ -3,9 +3,8 @@
 Every estimator turns a :class:`~repro.model.profile.WorkloadProfile`
 plus a :class:`~repro.memory.specs.HybridMemorySpec` into the same
 :class:`~repro.mmu.simulator.RunResult` the simulator produces — an
-integer :class:`AccessAccounting` scored through the *identical*
-Eq. 1-3 model layer (``compute_performance`` / ``compute_power`` /
-``compute_nvm_writes`` / ``endurance_report``) — without replaying a
+integer :class:`AccessAccounting` scored by the *same* Eq. 1-3 recipe,
+:meth:`~repro.mmu.simulator.RunResult.scored` — without replaying a
 single request.  Following the authors' analytical model
 (arXiv:1903.10067), adapted to this repo's exact Algorithm 1:
 
@@ -54,9 +53,6 @@ import numpy as np
 
 from repro.core.config import MigrationConfig
 from repro.memory.accounting import AccessAccounting, WearAccounting
-from repro.memory.endurance import compute_nvm_writes, endurance_report
-from repro.memory.metrics import compute_performance
-from repro.memory.power import compute_power
 from repro.memory.specs import HybridMemorySpec
 from repro.mmu.simulator import RunResult
 from repro.model.markov import (
@@ -67,6 +63,7 @@ from repro.model.markov import (
 )
 from repro.model.profile import WorkloadProfile, profile_workload
 from repro.trace.trace import PageIndex
+from repro.workloads.parsec import MEMO_LIMIT
 
 if TYPE_CHECKING:
     from repro.experiments.runspec import RunSpec
@@ -87,7 +84,8 @@ ANALYTIC_POLICIES = ("proposed", "clock-dwf", "dram-only*", "nvm-only*")
 _CONFIG_FIELDS = tuple(f.name for f in _dataclass_fields(MigrationConfig))
 
 #: Profiles are expensive relative to estimates, so estimate_spec keeps
-#: one per rendered workload.  Worker processes each build their own.
+#: one per rendered workload (cleared whole at :data:`MEMO_LIMIT`).
+#: Worker processes each build their own.
 _PROFILES: dict[tuple, WorkloadProfile] = {}
 
 
@@ -279,9 +277,9 @@ def _single_tier(
 #: the config-dependent Markov stage is ``O(pages)`` — caching this
 #: stage is what makes parameter sweeps orders of magnitude faster
 #: than simulation.  Entries hold the profile, so ``id()`` keys stay
-#: valid.  Worker processes each build their own.
+#: valid.  Cleared whole at :data:`MEMO_LIMIT`; worker processes each
+#: build their own.
 _MEMBERSHIP: dict[tuple, tuple] = {}
-_MEMBERSHIP_LIMIT = 16
 
 
 def _proposed_membership(
@@ -366,7 +364,7 @@ def _proposed_membership(
         ),
         "window_survival": {},  # per window-pages Che solve, on demand
     }
-    if len(_MEMBERSHIP) >= _MEMBERSHIP_LIMIT:
+    if len(_MEMBERSHIP) >= MEMO_LIMIT:
         _MEMBERSHIP.clear()
     _MEMBERSHIP[key] = (profile, data)
     return data
@@ -633,7 +631,7 @@ def estimate_run(
     workload: str | None = None,
 ) -> RunResult:
     """Estimate one run analytically; same RunResult shape as a
-    simulation, scored through the identical Eq. 1-3 model layer."""
+    simulation, scored by the same :meth:`RunResult.scored`."""
     if not supports_policy(policy):
         supported = ", ".join(ANALYTIC_POLICIES)
         raise UnsupportedPolicyError(
@@ -664,38 +662,14 @@ def estimate_run(
             profile, spec, nvm=policy.startswith("nvm-only")
         )
     accounting.validate()
-    performance = compute_performance(accounting, spec)
-    power = compute_power(
-        accounting, spec, performance, inter_request_gap=inter_request_gap
-    )
-    nvm_writes = compute_nvm_writes(accounting, spec)
-    elapsed = (
-        (performance.memory_time + inter_request_gap)
-        * accounting.total_requests
-    )
-    endurance = endurance_report(wear, spec, elapsed_seconds=elapsed or None)
-    return RunResult(
-        workload=workload or profile.name,
-        policy=policy,
-        spec=spec,
-        accounting=accounting,
-        wear=wear,
-        performance=performance,
-        power=power,
-        nvm_writes=nvm_writes,
-        endurance=endurance,
-    )
+    return RunResult.scored(workload or profile.name, policy, spec,
+                            accounting, wear, inter_request_gap)
 
 
 def estimate_spec(spec: "RunSpec", instance=None) -> RunResult:
     """Analytic counterpart of ``RunSpec.execute()``: render (or reuse)
     the workload profile, apply the machine transform, estimate."""
-    if instance is None:
-        instance = spec.render()
-    warmup = (
-        instance.warmup_fraction if spec.warmup_fraction is None
-        else spec.warmup_fraction
-    )
+    instance, machine, warmup = spec.resolve(instance)
     cache_key = (
         # External sources key by content digest (names can collide).
         spec.source.digest if spec.source is not None else spec.workload,
@@ -705,10 +679,12 @@ def estimate_spec(spec: "RunSpec", instance=None) -> RunResult:
     profile = _PROFILES.get(cache_key)
     if profile is None:
         profile = profile_workload(instance, warmup_fraction=warmup)
+        if len(_PROFILES) >= MEMO_LIMIT:
+            _PROFILES.clear()
         _PROFILES[cache_key] = profile
     return estimate_run(
         profile,
-        spec.machine_spec(instance),
+        machine,
         policy=spec.policy,
         overrides=dict(spec.policy_overrides) or None,
         inter_request_gap=instance.inter_request_gap,

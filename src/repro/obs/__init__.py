@@ -25,7 +25,6 @@ from repro.obs.sinks import (
     BeneficialMigrationClassifier,
     BufferSink,
     IntervalAggregator,
-    JsonlTraceSink,
     build_ledger,
     build_series,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "IntervalAggregator",
     "IntervalLedger",
     "IntervalMetrics",
-    "JsonlTraceSink",
     "MigrationEvent",
     "MigrationLedger",
     "PageFaultEvent",

@@ -5,8 +5,9 @@ a single ``finish`` call; see :class:`repro.obs.bus.Sink` for the
 contract.  The three standard sinks here power ``repro events``, the
 timeline figures and the observability tests:
 
-* :class:`JsonlTraceSink` / :class:`BufferSink` — deterministic JSONL
-  encoding of the raw stream (one event per line, sorted keys).
+* :class:`BufferSink` — deterministic JSONL encoding of the raw
+  stream (one event per line, sorted keys), kept in memory as the
+  summary's ``trace_lines``.
 * :class:`IntervalAggregator` — differences consecutive epoch marks
   into exact per-interval counter deltas and evaluates the paper's
   AMAT/APPR/NVM-write models on each; summing the deltas reconstructs
@@ -18,8 +19,6 @@ timeline figures and the observability tests:
 """
 
 from __future__ import annotations
-
-from typing import IO
 
 from repro.memory.accounting import AccessAccounting
 from repro.memory.endurance import compute_nvm_writes
@@ -45,22 +44,6 @@ class BufferSink(Sink):
 
     def handle(self, event: Event) -> None:
         self.lines.append(encode_event(event))
-
-
-class JsonlTraceSink(Sink):
-    """Streams one JSON object per event to a text file handle."""
-
-    def __init__(self, stream: IO[str]) -> None:
-        self.stream = stream
-        self.events_written = 0
-
-    def handle(self, event: Event) -> None:
-        self.stream.write(encode_event(event))
-        self.stream.write("\n")
-        self.events_written += 1
-
-    def finish(self, final: FinalState) -> None:
-        self.stream.flush()
 
 
 class IntervalAggregator(Sink):

@@ -5,9 +5,9 @@ deterministic 1-in-K subset of *pages* (:mod:`repro.trace.sampling` —
 frequency-stratified systematic selection), replay only their requests
 against a proportionally scaled frame budget
 (:meth:`HybridMemorySpec.sampled`), then scale the measured counters
-back up and score them against the *full* machine through the
-identical Eq. 1-3 model layer the exact simulator and the analytic
-engine use.
+back up and score them against the *full* machine through
+:meth:`~repro.mmu.simulator.RunResult.scored`, the Eq. 1-3 recipe the
+exact simulator and the analytic engine use.
 
 Why this is faithful: spatial membership keeps every access of a
 sampled page, so per-page reuse behaviour — the counter dynamics the
@@ -41,14 +41,12 @@ the requests the full run would.
 from __future__ import annotations
 
 import statistics
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.memory.accounting import AccessAccounting, WearAccounting
-from repro.memory.endurance import compute_nvm_writes, endurance_report
-from repro.memory.metrics import compute_performance
-from repro.memory.power import compute_power
 from repro.memory.specs import HybridMemorySpec
 from repro.mmu.simulator import PolicyFactory, RunResult, simulate
 from repro.sampling.config import SamplingConfig
@@ -61,9 +59,6 @@ if TYPE_CHECKING:
     from repro.experiments.runspec import RunSpec
 
 __all__ = ["SamplingError", "sample_spec", "scale_accounting"]
-
-#: Metrics the confidence intervals cover (flat-summary key -> label).
-_INTERVAL_METRICS = ("amat", "appr", "nvm_writes")
 
 
 class SamplingError(ValueError):
@@ -245,10 +240,13 @@ def _replay_subset(
     measured_writes: int,
     factory: PolicyFactory,
     gap: float,
-) -> tuple[RunResult, AccessAccounting, WearAccounting, int, float] | None:
+) -> tuple[RunResult, RunResult, int, float] | None:
     """Simulate the masked subset at a proportionally scaled frame
-    budget and scale the result; ``None`` when the subset has no
-    measured span (degenerate replicate).
+    budget, scale its counters up and score them against the full
+    ``machine``; ``None`` when the subset has no measured span
+    (degenerate replicate).  Returns the subset's own result, the
+    scaled result, the measured sampled request count and the request
+    multiplier.
 
     The frame budget scales by the *measured* page ratio (the
     SHARDS-adj correction): a draw that lands more pages than
@@ -263,7 +261,7 @@ def _replay_subset(
     measured_sampled = len(subset) - warm
     if measured_sampled <= 0:
         return None
-    result = simulate(
+    raw = simulate(
         subset,
         machine.sampled(total_pages / subset_pages),
         factory,
@@ -272,38 +270,23 @@ def _replay_subset(
     )
     multiplier = (measured_reads + measured_writes) / measured_sampled
     accounting, wear = scale_accounting(
-        result.accounting, result.wear,
+        raw.accounting, raw.wear,
         total_pages / subset_pages,
         measured_reads, measured_writes,
         dram_share=machine.dram_pages / machine.total_pages,
     )
-    return result, accounting, wear, measured_sampled, multiplier
+    scaled = RunResult.scored(
+        trace.name, raw.policy, machine, accounting, wear, gap)
+    return raw, scaled, measured_sampled, multiplier
 
 
-def _score(
-    accounting: AccessAccounting,
-    wear: WearAccounting,
-    machine: HybridMemorySpec,
-    gap: float,
-) -> dict:
-    """Evaluate the paper models on scaled counters against the *full*
-    machine (same recipe as ``HybridMemorySimulator.result``)."""
-    performance = compute_performance(accounting, machine)
-    power = compute_power(
-        accounting, machine, performance, inter_request_gap=gap
-    )
-    nvm_writes = compute_nvm_writes(accounting, machine)
-    elapsed = (
-        (performance.memory_time + gap) * accounting.total_requests
-    )
-    endurance = endurance_report(
-        wear, machine, elapsed_seconds=elapsed or None
-    )
+def _interval_values(result: RunResult) -> dict[str, float]:
+    """The metrics the confidence intervals cover, by name (in the
+    order the summary lists them)."""
     return {
-        "performance": performance,
-        "power": power,
-        "nvm_writes": nvm_writes,
-        "endurance": endurance,
+        "amat": result.performance.amat,
+        "appr": result.power.appr,
+        "nvm_writes": float(result.nvm_writes.total),
     }
 
 
@@ -342,21 +325,14 @@ def _replicate_intervals(
         )
         if replay is None:
             continue
-        _, accounting, wear, _, _ = replay
-        scores = _score(accounting, wear, machine, gap)
-        replicates.append({
-            "amat": scores["performance"].amat,
-            "appr": scores["power"].appr,
-            "nvm_writes": float(scores["nvm_writes"].total),
-        })
+        replicates.append(_interval_values(replay[1]))
     if len(replicates) < 2:
         return {}, 0
     z = statistics.NormalDist().inv_cdf((1.0 + config.confidence) / 2.0)
     intervals: dict[str, MetricInterval] = {}
-    for metric in _INTERVAL_METRICS:
+    for metric, estimate in estimates.items():
         values = [replicate[metric] for replicate in replicates]
         se = statistics.stdev(values) / len(values) ** 0.5
-        estimate = estimates[metric]
         intervals[metric] = MetricInterval(
             estimate=estimate, se=se,
             lo=estimate - z * se, hi=estimate + z * se,
@@ -370,7 +346,6 @@ def _replicate_intervals(
 def sample_spec(
     spec: "RunSpec",
     instance: WorkloadInstance | None = None,
-    factory: PolicyFactory | None = None,
 ) -> RunResult:
     """Sampled counterpart of ``RunSpec.execute()``.
 
@@ -381,15 +356,9 @@ def sample_spec(
     the result.
     """
     config = spec.sampling if spec.sampling is not None else SamplingConfig()
-    if instance is None:
-        instance = spec.render()
+    instance, machine, warmup = spec.resolve(instance)
     trace = instance.trace
-    machine = spec.machine_spec(instance)
     gap = instance.inter_request_gap
-    warmup = (
-        instance.warmup_fraction if spec.warmup_fraction is None
-        else spec.warmup_fraction
-    )
     boundary = int(len(trace) * warmup) if warmup > 0.0 else 0
 
     membership = _Membership(trace, config.salt)
@@ -397,9 +366,7 @@ def sample_spec(
     measured_writes = int(np.count_nonzero(trace.is_write[boundary:]))
     measured_reads = len(trace) - boundary - measured_writes
     rate = config.effective_rate(total_pages)
-    policy_factory = (
-        factory if factory is not None else spec.build_policy_factory()
-    )
+    policy_factory = spec.build_policy_factory()
 
     # Adaptive escalation (SHARDS-style rate adaptation on the rare
     # events): replay the sample, and if it observed too few faults —
@@ -423,8 +390,7 @@ def sample_spec(
                 f"{spec.workload!r}; lower warmup_fraction"
             )
         rate = max(1, rate // 4)
-    raw, accounting, wear, measured_sampled, multiplier = replay
-    scores = _score(accounting, wear, machine, gap)
+    _, result, measured_sampled, multiplier = replay
 
     intervals: dict[str, MetricInterval] = {}
     replicate_count = 0
@@ -432,15 +398,10 @@ def sample_spec(
         intervals, replicate_count = _replicate_intervals(
             trace, membership, boundary, machine, total_pages,
             measured_reads, measured_writes, config, rate,
-            policy_factory, gap,
-            estimates={
-                "amat": scores["performance"].amat,
-                "appr": scores["power"].appr,
-                "nvm_writes": float(scores["nvm_writes"].total),
-            },
+            policy_factory, gap, estimates=_interval_values(result),
         )
 
-    summary = SamplingSummary(
+    return replace(result, sampling=SamplingSummary(
         rate=config.rate,
         effective_rate=rate,
         salt=config.salt,
@@ -452,16 +413,4 @@ def sample_spec(
         groups=replicate_count,
         confidence=config.confidence,
         intervals=intervals,
-    )
-    return RunResult(
-        workload=trace.name,
-        policy=raw.policy,
-        spec=machine,
-        accounting=accounting,
-        wear=wear,
-        performance=scores["performance"],
-        power=scores["power"],
-        nvm_writes=scores["nvm_writes"],
-        endurance=scores["endurance"],
-        sampling=summary,
-    )
+    ))

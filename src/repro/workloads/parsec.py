@@ -121,6 +121,12 @@ PROFILES: dict[str, ParsecProfile] = {
 #: Paper order (Table III / all figures).
 WORKLOAD_NAMES: tuple[str, ...] = tuple(PROFILES)
 
+#: Entry bound of the per-process memos keyed by rendered workload (the
+#: executor's instances, the analytic profiles and membership stages);
+#: a memo at the bound is cleared whole.  Above the 12 workloads, so a
+#: Fig. 4 grid or a sweep never renders twice.
+MEMO_LIMIT = 16
+
 
 @dataclass(frozen=True)
 class WorkloadInstance:

@@ -355,3 +355,23 @@ class TestRunnerIntegration:
         # the runner's in-memory memo preserves object identity
         again = runner.submit([runner.spec_for("dedup", "proposed")])[0]
         assert again is grid["dedup"].runs["proposed"]
+
+
+# ----------------------------------------------------------------------
+# Per-process memos
+# ----------------------------------------------------------------------
+class TestMemoBounds:
+    def test_instance_and_profile_memos_stay_bounded(self):
+        import repro.experiments.executor as executor_module
+        from repro.model import estimator
+        from repro.workloads.parsec import MEMO_LIMIT
+
+        executor_module._INSTANCES.clear()
+        estimator._PROFILES.clear()
+        # One more distinct rendering than the bound, as a resident
+        # server fed fresh seeds would see.
+        specs = [small(engine="analytic", seed=seed)
+                 for seed in range(MEMO_LIMIT + 1)]
+        ParallelExecutor(jobs=1).submit(specs)
+        assert 0 < len(executor_module._INSTANCES) <= MEMO_LIMIT
+        assert 0 < len(estimator._PROFILES) <= MEMO_LIMIT

@@ -524,10 +524,12 @@ class TestEngineSpec:
         with pytest.raises(ValueError, match="event stream"):
             RunSpec(workload="dedup", engine="analytic",
                     events=EventConfig(trace=True))
-        spec = RunSpec(workload="dedup", engine="analytic",
-                       request_scale=SCALE)
-        with pytest.raises(ValueError, match="factory"):
-            spec.execute(factory=lambda mm: None)
+        # Only the simulate engine takes a custom policy factory.
+        for engine in ("analytic", "sampled"):
+            spec = RunSpec(workload="dedup", engine=engine,
+                           request_scale=SCALE)
+            with pytest.raises(ValueError, match="factory"):
+                spec.execute(factory=lambda mm: None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ requests sent as raw bytes), and clean shutdown.
 
 from __future__ import annotations
 
+import gc
 import json
 import socket
 import sys
 import threading
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -438,3 +440,17 @@ class TestEventPersistence:
         assert lines == list(result.events.trace_lines)
         for line in lines:
             json.loads(line)
+
+    def test_streamed_summaries_do_not_outlive_requests(self, tmp_path):
+        # A resident service must not keep any run's event stream once
+        # the request that asked for it is answered.
+        service = ReproService(jobs=1, trace_root=tmp_path / "traces")
+        summaries = []
+        for seed in (1, 2, 3):
+            _, result = service.run(
+                {**RUN, "request_scale": 0.001, "seed": seed}, stream=True)
+            assert result.events.trace_lines
+            summaries.append(weakref.ref(result.events))
+            del result
+        gc.collect()
+        assert [ref() for ref in summaries] == [None, None, None]

@@ -6,9 +6,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sanitizer import SanitizedPolicy
+from repro.experiments.runspec import RunSpec
 from repro.memory.specs import HybridMemorySpec
-from repro.mmu.simulator import HybridMemorySimulator, simulate
+from repro.mmu.simulator import HybridMemorySimulator, RunResult, simulate
 from repro.policies.registry import policy_factory
+from repro.sampling import SamplingConfig
 from repro.workloads.synthetic import zipf_workload
 
 
@@ -132,3 +134,30 @@ class TestCrossPolicyInvariants:
         assert spec.as_nvm_only().static_power == pytest.approx(
             spec.as_dram_only().static_power * 0.1
         )
+
+
+class TestOneRecipe:
+    """Every engine's result is ``RunResult.scored`` over its own
+    counters: a per-engine scoring copy that drifts fails here."""
+
+    @pytest.mark.parametrize("engine, sampling", [
+        ("simulate", None),
+        ("analytic", None),
+        ("sampled", SamplingConfig(rate=16)),
+    ])
+    def test_result_is_its_counters_scored(self, engine, sampling):
+        spec = RunSpec.core("canneal", "proposed", engine=engine,
+                            sampling=sampling)
+        instance = spec.render()
+        result = spec.execute(instance=instance)
+        if engine == "sampled":
+            assert result.sampling.effective_rate > 1  # really sampled
+        rescored = RunResult.scored(
+            result.workload, result.policy, result.spec,
+            result.accounting, result.wear, instance.inter_request_gap,
+        )
+        expected = result.to_dict()
+        actual = rescored.to_dict()
+        for key in ("events", "sampling"):
+            del expected[key], actual[key]
+        assert actual == expected
