@@ -770,6 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # ``--sanitize`` holds for this command (and its workers) only.
+    sanitize = os.environ.get(SANITIZE_ENV)
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -780,6 +782,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         except Exception:
             pass
         return 0
+    finally:
+        if sanitize is None:
+            os.environ.pop(SANITIZE_ENV, None)
+        else:
+            os.environ[SANITIZE_ENV] = sanitize
 
 
 if __name__ == "__main__":  # pragma: no cover

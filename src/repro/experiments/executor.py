@@ -5,13 +5,13 @@ of simulation results goes through (the experiment runner, the sweeps,
 the CLI, the examples).  Beneath it sit two layers:
 
 * :class:`ParallelExecutor` — fans specs out over a ``multiprocessing``
-  worker pool (``jobs`` workers, default ``os.cpu_count()``).  Each
-  worker process renders a workload at most once per scale/seed
-  (module-level cache), results are merged deterministically in input
-  order regardless of completion order, progress is reported through a
-  callback as results arrive, and worker failures are retried in the
-  parent and surfaced as :class:`ExecutorError` *after* the remaining
-  specs complete — a crash never deadlocks or starves the batch.
+  worker pool (``jobs`` workers, default ``os.cpu_count()``), one task
+  per rendered workload, largest first; a task derives the LRU
+  dram-only baseline from its nvm-only twin instead of replaying it.
+  Results are merged deterministically in input order, progress is
+  reported through a callback as results arrive, and failed specs are
+  retried in the parent and surfaced as :class:`ExecutorError` *after*
+  the remaining specs complete — a crash never starves the batch.
 * :class:`ResultCache` — a content-addressed JSON cache under
   ``.repro-cache/``, keyed by ``RunSpec.digest()`` plus a code-version
   fingerprint (a hash over the simulation-relevant source trees), so
@@ -27,14 +27,15 @@ import multiprocessing
 import os
 import tempfile
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import repro
 from repro.experiments.runspec import RunSpec
 from repro.mmu.simulator import RunResult
-from repro.workloads.parsec import MEMO_LIMIT, WorkloadInstance
+from repro.policies.single_tier import dram_only_from_nvm_only
+from repro.workloads.parsec import MEMO_LIMIT, PROFILES, WorkloadInstance, scaled_requests
 
 #: Default location of the persistent result cache.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -184,13 +185,18 @@ class ResultCache:
 _INSTANCES: dict[tuple, WorkloadInstance] = {}
 
 
-def _rendered(spec: RunSpec) -> WorkloadInstance:
-    key = (
+def _instance_key(spec: RunSpec) -> tuple:
+    """Which rendered instance a spec runs on (and its pool task)."""
+    return (
         spec.workload, spec.request_scale, spec.footprint_scale, spec.seed,
         # External traces key by content digest: two sources sharing a
         # name must not collide in the per-worker instance cache.
         spec.source.digest if spec.source is not None else None,
     )
+
+
+def _rendered(spec: RunSpec) -> WorkloadInstance:
+    key = _instance_key(spec)
     instance = _INSTANCES.get(key)
     if instance is None:
         instance = spec.render()
@@ -214,14 +220,61 @@ def _instance_for(spec: RunSpec) -> WorkloadInstance | None:
     return _rendered(spec)
 
 
-def _worker_run(item: tuple[int, RunSpec]) -> tuple[int, dict | None, str | None]:
-    """Pool target: never raises — failures travel back as tracebacks."""
-    index, spec = item
-    try:
-        result = spec.execute(instance=_instance_for(spec))
-        return index, result.to_dict(), None
-    except Exception:
-        return index, None, traceback.format_exc()
+#: One spec's outcome in a task: (spec, result, traceback, derived).
+Outcome = tuple[RunSpec, RunResult | None, str | None, bool]
+
+
+def _run_group(specs: Sequence[RunSpec]) -> list[Outcome]:
+    """Execute one task's specs, never raising.  A spec whose
+    :meth:`~RunSpec.baseline_twin` succeeded earlier in the task is
+    derived from the twin's result; otherwise it runs on its own."""
+    done: dict[RunSpec | None, RunResult] = {}
+    outcomes: list[Outcome] = []
+    for spec in specs:
+        try:
+            instance = _instance_for(spec)
+            twin = done.get(spec.baseline_twin())
+            if twin is not None:
+                result = dram_only_from_nvm_only(
+                    twin, instance.inter_request_gap if instance else 0.0)
+            else:
+                result = spec.execute(instance=instance)
+            done[spec] = result
+            outcomes.append((spec, result, None, twin is not None))
+        except Exception:
+            outcomes.append((spec, None, traceback.format_exc(), False))
+    return outcomes
+
+
+def _tasks(pending: Sequence[RunSpec], workers: int) -> list[list[RunSpec]]:
+    """``pending`` as tasks: one per rendered instance, each baseline
+    twin just before the spec it derives, split above ``ceil(len /
+    workers)`` specs (never between twins), largest work first."""
+    groups: dict[tuple, list[RunSpec]] = {}
+    for spec in pending:
+        groups.setdefault(_instance_key(spec), []).append(spec)
+    limit = -(-len(pending) // workers)
+    tasks: list[list[RunSpec]] = []
+    for group in groups.values():
+        derived = {spec.baseline_twin(): spec for spec in group}
+        task: list[RunSpec] = []
+        for spec in group:
+            if spec.baseline_twin() in group:
+                continue  # rides right behind its twin
+            if len(task) >= limit:
+                tasks.append(task)
+                task = []
+            task += [spec, derived[spec]] if spec in derived else [spec]
+        tasks.append(task)
+
+    def work(task: list[RunSpec]) -> tuple:
+        spec, profile = task[0], PROFILES.get(task[0].workload)
+        requests = (spec.source.requests if spec.source is not None else
+                    scaled_requests(profile, spec.request_scale) if profile
+                    else 0)
+        return -len(task) * requests, spec.key()
+
+    return sorted(tasks, key=work)
 
 
 # ----------------------------------------------------------------------
@@ -237,16 +290,11 @@ class ExecutorStats:
     cache_misses: int = 0
     retries: int = 0
     failures: int = 0
+    #: Of ``simulated``, the results derived rather than replayed.
+    derived: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "simulated": self.simulated,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "retries": self.retries,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -345,7 +393,6 @@ class ParallelExecutor:
 
         # Deterministic execution order (stable scheduling + progress).
         pending.sort(key=RunSpec.key)
-        failures: list[WorkerFailure] = []
 
         def _fresh(spec: RunSpec, result: RunResult) -> None:
             self.stats.simulated += 1
@@ -353,38 +400,29 @@ class ParallelExecutor:
                 self.cache.put(spec, result)
             _completed(spec, result)
 
-        if self.jobs == 1 or len(pending) <= 1:
-            for spec in pending:
-                result, failure = self._run_with_retries(spec)
-                if failure is not None:
-                    failures.append(failure)
+        failed: list[tuple[RunSpec, str | None]] = []
+        for outcomes in self._outcomes(pending):
+            for spec, result, error, derived in outcomes:
+                if result is None:
+                    failed.append((spec, error))
                 else:
-                    assert result is not None
+                    self.stats.derived += derived
                     _fresh(spec, result)
-        else:
-            failed: list[tuple[RunSpec, str]] = []
-            context = multiprocessing.get_context(START_METHOD)
-            workers = min(self.jobs, len(pending))
-            with context.Pool(processes=workers) as pool:
-                items = list(enumerate(pending))
-                for index, payload, error in pool.imap_unordered(
-                        _worker_run, items):
-                    spec = pending[index]
-                    if error is not None:
-                        failed.append((spec, error))
-                    else:
-                        _fresh(spec, RunResult.from_dict(payload))
-            # Retry crashed specs serially in the parent: a transient
-            # worker death must not cost the batch, and a deterministic
-            # crash reproduces here with a clean traceback.
-            for spec, error in failed:
-                result, failure = self._run_with_retries(
-                    spec, first_error=error)
-                if failure is not None:
-                    failures.append(failure)
-                else:
-                    assert result is not None
-                    _fresh(spec, result)
+        # Retry crashed specs serially in the parent, up to RETRIES
+        # times: a transient worker death must not cost the batch, and
+        # a deterministic crash reproduces here with a clean traceback.
+        failures: list[WorkerFailure] = []
+        for spec, error in failed:
+            result = None
+            for _ in range(RETRIES):
+                self.stats.retries += 1
+                _spec, result, error, _derived = _run_group([spec])[0]
+                if result is not None:
+                    break
+            if result is None:
+                failures.append(WorkerFailure(spec, error or ""))
+            else:
+                _fresh(spec, result)
 
         if failures:
             self.stats.failures += len(failures)
@@ -392,20 +430,16 @@ class ParallelExecutor:
         return [results[spec] for spec in specs]
 
     # ------------------------------------------------------------------
-    def _run_with_retries(
-        self, spec: RunSpec, first_error: str | None = None,
-    ) -> tuple[RunResult | None, WorkerFailure | None]:
-        """Execute one spec in-process, retrying up to :data:`RETRIES`."""
-        error = first_error
-        attempts = RETRIES + 1 if first_error is None else RETRIES
-        for _ in range(attempts):
-            if error is not None:
-                self.stats.retries += 1
-            try:
-                return spec.execute(instance=_instance_for(spec)), None
-            except Exception:
-                error = traceback.format_exc()
-        return None, WorkerFailure(spec=spec, traceback=error or "")
+    def _outcomes(self, pending: list[RunSpec]) -> Iterator[list[Outcome]]:
+        """Each task's outcomes as it finishes: in-process when
+        ``jobs == 1`` or there is one task, else over the pool."""
+        tasks = _tasks(pending, min(self.jobs, len(pending) or 1))
+        if self.jobs == 1 or len(tasks) <= 1:
+            yield from map(_run_group, tasks)
+            return
+        context = multiprocessing.get_context(START_METHOD)
+        with context.Pool(processes=min(self.jobs, len(tasks))) as pool:
+            yield from pool.imap_unordered(_run_group, tasks)
 
 
 def execute_specs(

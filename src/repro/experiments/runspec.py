@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
 from repro.memory.specs import HybridMemorySpec
-from repro.mmu.simulator import HybridMemorySimulator, PolicyFactory, RunResult
+from repro.mmu.simulator import HybridMemorySimulator, PolicyFactory, RunResult, sanitize_default
 from repro.obs.config import EventConfig
 from repro.policies.registry import policy_factory
 from repro.sampling.config import SamplingConfig
@@ -432,6 +432,17 @@ class RunSpec:
         warmup = (instance.warmup_fraction if self.warmup_fraction is None
                   else self.warmup_fraction)
         return instance, self.machine_spec(instance), warmup
+
+    def baseline_twin(self) -> "RunSpec | None":
+        """The nvm-only spec whose result this plain LRU ``dram-only``
+        baseline derives from (simulate engine, no events or overrides,
+        unsanitized process); ``None`` for every other spec."""
+        if (self.policy, self.spec_transform, self.engine, self.events,
+                self.policy_overrides) != (
+                "dram-only", ("dram-only",), "simulate", None, ()) \
+                or sanitize_default():
+            return None
+        return replace(self, policy="nvm-only", spec_transform=("nvm-only",))
 
     def build_policy_factory(self) -> PolicyFactory:
         """Policy factory resolved from the registry plus overrides."""

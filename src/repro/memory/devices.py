@@ -97,7 +97,7 @@ class MemoryDeviceSpec:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form (result cache / pool serialisation)."""
+        """JSON-compatible form (result cache serialisation)."""
         return asdict(self)
 
     @classmethod
@@ -123,7 +123,7 @@ class DiskSpec:
             raise ValueError("access_latency must be non-negative")
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form (result cache / pool serialisation)."""
+        """JSON-compatible form (result cache serialisation)."""
         return asdict(self)
 
     @classmethod

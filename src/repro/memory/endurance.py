@@ -43,7 +43,7 @@ class NVMWriteBreakdown:
         return self.total / baseline.total
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form (result cache / pool serialisation)."""
+        """JSON-compatible form (result cache serialisation)."""
         return asdict(self)
 
     @classmethod
@@ -81,7 +81,7 @@ class EnduranceReport:
         return self.wear_cv < 1.0
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form (result cache / pool serialisation)."""
+        """JSON-compatible form (result cache serialisation)."""
         return asdict(self)
 
     @classmethod

@@ -72,7 +72,7 @@ class PerformanceBreakdown:
         return self.amat / baseline.amat
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form (result cache / pool serialisation)."""
+        """JSON-compatible form (result cache serialisation)."""
         return asdict(self)
 
     @classmethod

@@ -68,7 +68,7 @@ class PowerBreakdown:
         return self.appr / baseline.appr
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form (result cache / pool serialisation)."""
+        """JSON-compatible form (result cache serialisation)."""
         return asdict(self)
 
     @classmethod

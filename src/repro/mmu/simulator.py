@@ -92,10 +92,9 @@ class RunResult:
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible form: everything needed to rebuild the result.
 
-        This is the serialisation the parallel executor ships across
-        the worker pool and the disk cache persists; it must round-trip
-        losslessly through :meth:`from_dict` (floats survive JSON via
-        repr round-tripping, so equality is exact).
+        This is the serialisation the disk cache persists; it must
+        round-trip losslessly through :meth:`from_dict` (floats survive
+        JSON via repr round-tripping, so equality is exact).
         """
         return {
             "workload": self.workload,

@@ -4,15 +4,20 @@ The paper normalises every figure against one of these: power against a
 DRAM-only memory of the same total capacity (Fig. 1/2a/4a), NVM writes
 against an NVM-only memory (Fig. 2c/4b).  Both run a conventional
 replacement algorithm (LRU by default, CLOCK/CLOCK-Pro/CAR pluggable)
-over a single module.
+over a single module.  Under LRU the two are one run (same frames, no
+tier-dependent decision): :func:`dram_only_from_nvm_only` derives one
+from the other without a second replay.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
+from repro.memory.accounting import WearAccounting
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation
+from repro.mmu.simulator import RunResult
 from repro.policies.base import HybridMemoryPolicy
 from repro.policies.replacement import LRUReplacement, ReplacementAlgorithm
 
@@ -268,3 +273,23 @@ class NvmOnlyPolicy(SingleTierPolicy):
         algorithm_factory: AlgorithmFactory = LRUReplacement,
     ) -> None:
         super().__init__(mm, PageLocation.NVM, algorithm_factory)
+
+
+def dram_only_from_nvm_only(
+    nvm_only: RunResult, inter_request_gap: float = 0.0,
+) -> RunResult:
+    """The LRU DRAM-only result of the replay behind ``nvm_only``: NVM
+    hits and fills become DRAM ones and DRAM takes no wear.  The gap
+    must be the replay's own.  Exact for plain LRU runs only (the
+    rule is :meth:`~repro.experiments.runspec.RunSpec.baseline_twin`).
+    """
+    nvm = nvm_only.accounting
+    accounting = replace(
+        nvm, dram_read_hits=nvm.nvm_read_hits, nvm_read_hits=0,
+        dram_write_hits=nvm.nvm_write_hits, nvm_write_hits=0,
+        faults_filled_dram=nvm.faults_filled_nvm, faults_filled_nvm=0)
+    return RunResult.scored(
+        nvm_only.workload, DramOnlyPolicy.name, nvm_only.spec.as_dram_only(),
+        accounting, WearAccounting(page_factor=nvm_only.wear.page_factor),
+        inter_request_gap,
+    )

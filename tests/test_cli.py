@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.mmu.simulator import SANITIZE_ENV, sanitize_default
 from repro.trace.io import save_trace, write_text_trace
 from repro.trace.trace import Trace
 
@@ -113,6 +114,20 @@ class TestRun:
         assert "simulated 0, cache hits 1, cache misses 0" in second
         # cached metrics identical to the freshly-simulated ones
         assert second.splitlines()[:4] == first.splitlines()[:4]
+
+
+    def test_sanitize_is_scoped_to_the_command(self, monkeypatch, capsys):
+        # --sanitize must not outlive its command: a leaked flag would
+        # sanitize (and so stop deriving the dram-only baseline in)
+        # every later run of the process.
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        assert main([*self.ARGS, "--engine", "analytic", "--no-cache",
+                     "--jobs", "1", "--sanitize"]) == 0
+        assert not sanitize_default()
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        assert main([*self.ARGS, "--engine", "analytic", "--no-cache",
+                     "--jobs", "1", "--sanitize"]) == 0
+        assert sanitize_default()
 
 
 class TestParser:

@@ -20,12 +20,16 @@ from repro.experiments.executor import (
     ExecutorError,
     ParallelExecutor,
     ResultCache,
+    _tasks,
     code_version,
     execute_specs,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import CORE_POLICIES, ExperimentRunner
 from repro.experiments.runspec import RunSpec
+from repro.mmu.simulator import SANITIZE_ENV
+from repro.obs.config import EventConfig
 from repro.policies.registry import register_policy
+from repro.workloads.parsec import WORKLOAD_NAMES
 
 #: Tiny rendering scale so each simulation stays in the millisecond
 #: range; identity/caching/merge semantics do not depend on scale.
@@ -222,6 +226,121 @@ class TestParallelExecutor:
     def test_execute_specs_convenience(self):
         (result,) = execute_specs([small()])
         assert result.policy == "proposed"
+
+
+# ----------------------------------------------------------------------
+# Pool tasks: one per rendered instance
+# ----------------------------------------------------------------------
+#: One workload, eight specs: the four core policies plus four
+#: threshold settings of the proposed scheme.
+ONE_WORKLOAD = [small("raytrace", policy) for policy in CORE_POLICIES] + [
+    small("raytrace", policy_overrides={"read_threshold": threshold})
+    for threshold in (2, 4, 8, 16)]
+
+
+class TestGroupedTasks:
+    def test_one_workload_batch_spreads_over_workers(self, monkeypatch):
+        monkeypatch.delenv(SANITIZE_ENV)  # pair the baseline twins
+        tasks = _tasks(sorted(ONE_WORKLOAD, key=RunSpec.key), workers=2)
+        assert len(tasks) >= 2
+        assert sorted((spec for task in tasks for spec in task),
+                      key=RunSpec.key) == sorted(ONE_WORKLOAD,
+                                                 key=RunSpec.key)
+        # the baseline twins ride in one task, the nvm-only one first
+        dram, nvm = ONE_WORKLOAD[0], ONE_WORKLOAD[1]
+        (task,) = [task for task in tasks if dram in task]
+        assert task.index(nvm) == task.index(dram) - 1
+
+    def test_tasks_go_largest_first(self):
+        pending = sorted((small(workload, policy) for workload in
+                          ("blackscholes", "streamcluster")
+                          for policy in CORE_POLICIES), key=RunSpec.key)
+        tasks = _tasks(pending, workers=1)
+        assert [task[0].workload for task in tasks] == \
+            ["streamcluster", "blackscholes"]
+
+    def test_serial_and_pooled_identical_on_a_mixed_batch(
+            self, monkeypatch):
+        monkeypatch.delenv(SANITIZE_ENV)
+        batch = GRID + ONE_WORKLOAD
+        serial = ParallelExecutor(jobs=1)
+        pooled = ParallelExecutor(jobs=JOBS)
+        for one, other in zip(serial.submit(batch), pooled.submit(batch)):
+            assert json.dumps(one.to_dict()) == json.dumps(other.to_dict())
+        assert serial.stats.derived == pooled.stats.derived == 1
+
+    @pytest.mark.parametrize("jobs", [1, JOBS])
+    def test_failing_spec_keeps_its_siblings(self, crashy_policy, jobs):
+        crashing = RunSpec("raytrace", policy=crashy_policy, **SCALE)
+        executor = ParallelExecutor(jobs=jobs)
+        with pytest.raises(ExecutorError) as excinfo:
+            executor.submit(ONE_WORKLOAD + [crashing])
+        error = excinfo.value
+        assert set(error.results) == set(ONE_WORKLOAD)
+        assert [failure.spec for failure in error.failures] == [crashing]
+
+    def test_failed_twin_does_not_lose_the_baseline(self, monkeypatch):
+        from repro.policies import registry
+
+        monkeypatch.delenv(SANITIZE_ENV)
+        dram, nvm = small("raytrace", "dram-only"), small("raytrace",
+                                                         "nvm-only")
+        expected = dram.execute().to_dict()
+        registry.available_policies()  # load the built-ins to patch one
+        monkeypatch.setitem(registry._FACTORIES, "nvm-only", _AlwaysCrash())
+        executor = ParallelExecutor(jobs=1)
+        with pytest.raises(ExecutorError) as excinfo:
+            executor.submit([dram, nvm])
+        error = excinfo.value
+        assert [failure.spec for failure in error.failures] == [nvm]
+        assert error.results[dram].to_dict() == expected
+        assert executor.stats.derived == 0
+
+
+# ----------------------------------------------------------------------
+# Derived dram-only baseline
+# ----------------------------------------------------------------------
+class TestDerivedBaseline:
+    @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+    def test_derived_equals_replay(self, workload, monkeypatch):
+        # The suite sanitizes by default, which turns derivation off.
+        monkeypatch.delenv(SANITIZE_ENV)
+        for warmup in (None, 0.0, 0.5):
+            dram, nvm = (RunSpec.core(workload, policy,
+                                      warmup_fraction=warmup)
+                         for policy in ("dram-only", "nvm-only"))
+            executor = ParallelExecutor(jobs=1)
+            derived, _ = executor.submit([dram, nvm])
+            assert executor.stats.derived == 1
+            assert executor.stats.simulated == 2
+            replayed = dram.execute(instance=dram.render())
+            assert derived.to_dict() == replayed.to_dict()
+
+    @pytest.mark.parametrize("case", [
+        "events", "overrides", "dram-only-clock", "sanitize"])
+    def test_not_derived(self, case, monkeypatch):
+        monkeypatch.delenv(SANITIZE_ENV)
+        kwargs, policy = {}, "dram-only"
+        if case == "events":
+            kwargs["events"] = EventConfig()
+        elif case == "overrides":
+            kwargs["policy_overrides"] = {"read_threshold": 4}
+        elif case == "dram-only-clock":
+            policy = "dram-only-clock"
+        else:
+            monkeypatch.setenv(SANITIZE_ENV, "1")
+        twin = policy.replace("dram", "nvm")
+        specs = [small("dedup", policy, **kwargs),
+                 small("dedup", twin, **kwargs)]
+        executor = ParallelExecutor(jobs=1)
+        try:
+            executor.submit(specs)
+        except ExecutorError as error:
+            # single-tier policies take no overrides: both specs fail,
+            # and derivation must not paper over the bad one
+            assert case == "overrides"
+            assert len(error.failures) == 2
+        assert executor.stats.derived == 0
 
 
 # ----------------------------------------------------------------------
