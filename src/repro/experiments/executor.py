@@ -292,6 +292,8 @@ class ExecutorStats:
     failures: int = 0
     #: Of ``simulated``, the results derived rather than replayed.
     derived: int = 0
+    #: Fresh results the cache could not store (a full disk, say).
+    cache_write_errors: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
@@ -397,7 +399,10 @@ class ParallelExecutor:
         def _fresh(spec: RunSpec, result: RunResult) -> None:
             self.stats.simulated += 1
             if self.cache:
-                self.cache.put(spec, result)
+                try:
+                    self.cache.put(spec, result)
+                except OSError:  # the batch keeps the result it computed
+                    self.stats.cache_write_errors += 1
             _completed(spec, result)
 
         failed: list[tuple[RunSpec, str | None]] = []

@@ -1,13 +1,15 @@
 """Blocking client for a running ``repro serve`` endpoint.
 
 ``http.client`` only — the client exists so tests, the CI smoke job
-and scripts can talk to the server without growing a dependency.  One
-connection per request (the server is HTTP/1.0 connection-close).
+and scripts can talk to the server without growing a dependency.  Each
+thread keeps one persistent HTTP/1.1 connection for its requests; a
+stream opens its own, which the server closes at the stream's end.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from http.client import HTTPConnection
 from typing import Any, Iterator
 from urllib.parse import quote
@@ -22,24 +24,40 @@ class ServeError(RuntimeError):
 
 
 class ServeClient:
-    """Talks to one ``repro serve`` address."""
+    """Talks to one ``repro serve`` address; safe to share between
+    threads (each thread gets its own connection)."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8023,
                  timeout: float = 60.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
+    def _connect(self) -> HTTPConnection:
+        return HTTPConnection(self.host, self.port, timeout=self.timeout)
+
     def _request(self, method: str, path: str,
                  body: bytes | None = None) -> tuple[int, bytes]:
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            conn.request(method, path, body=body)
-            response = conn.getresponse()
-            return response.status, response.read()
-        finally:
-            conn.close()
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+        while True:
+            reused, response = conn.sock is not None, None
+            try:
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                return response.status, response.read()
+            except BaseException as exc:
+                conn.close()  # reconnects on the next request
+                # The server may have closed a reused connection (idle
+                # timeout, restart) before it saw this request.  Every
+                # endpoint is idempotent, so one retry on a fresh
+                # connection is safe.
+                if not (reused and response is None
+                        and isinstance(exc, ConnectionError)):
+                    raise
 
     def _json(self, method: str, path: str,
               payload: Any | None = None) -> Any:
@@ -74,7 +92,7 @@ class ServeClient:
         Yields each simulation event as a dict; the last yielded item
         is ``{"final": {digest, label, result}}``.
         """
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        conn = self._connect()
         try:
             conn.request("POST", "/run?stream=1",
                          body=json.dumps(payload).encode("utf-8"))

@@ -24,19 +24,27 @@ endpoint    method  behaviour
 /shutdown   POST    clean stop (the CI smoke job's exit path)
 ==========  ======  ====================================================
 
-Streaming uses HTTP/1.0 connection-close delimiting — no chunked
-transfer encoding to hand-roll, and every stdlib/curl client handles
-it.
+Connections are persistent HTTP/1.1 (every non-stream response
+carries ``Content-Length``), so a client asking cache hits one after
+another pays for one TCP handshake and one server thread, not one per
+query.  A stream ends the connection instead: its end is the close, so
+there is no chunked transfer encoding to hand-roll, and every
+stdlib/curl client handles it.  HTTP/1.0 requests and requests sending
+``Connection: close`` get one response and a close.  A connection idle
+for :data:`IDLE_TIMEOUT_S` is closed.
 
 Non-streamed ``/run`` and ``/batch`` write the service's stored answer
 bytes as they are.  Malformed requests get a 400 with a JSON error; a
-body over :data:`MAX_BODY_BYTES` gets a 413 before it is read.
+body over :data:`MAX_BODY_BYTES` gets a 413 before it is read.  A
+response sent while request body bytes are still unread closes the
+connection, so those bytes are never parsed as a next request.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -47,10 +55,15 @@ from repro.serve.service import ReproService, ServiceError
 #: Largest request body (``/traces`` uploads included) the server reads.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Seconds a persistent connection may sit idle (or stall mid-request)
+#: before the server closes it and frees its thread.
+IDLE_TIMEOUT_S = 60.0
+
 
 class ReproServer(ThreadingHTTPServer):
     """Threaded HTTP server bound to one :class:`ReproService`."""
 
+    # Idle keep-alive threads must not hold the process open on exit.
     daemon_threads = True
 
     def __init__(self, address: tuple[str, int],
@@ -58,12 +71,23 @@ class ReproServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.service = service
 
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A client that hung up or stalled is not a server fault: its
+        # connection is dropped without a traceback.
+        if not isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
+            super().handle_error(request, client_address)
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve"
-    # Connection-close delimiting makes the JSONL stream's end
-    # unambiguous without chunked encoding.
-    protocol_version = "HTTP/1.0"
+    protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
+    # One write per response: headers and body collect in the buffer
+    # until handle_one_request flushes it.  As two small writes on a
+    # persistent connection, Nagle's algorithm would hold the second
+    # until the peer's delayed ACK of the first (tens of ms a hit).
+    wbufsize = 1 << 16
+    disable_nagle_algorithm = True
 
     server: ReproServer  # narrowed for the type checker
 
@@ -73,6 +97,25 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:
         pass  # quiet by default; /stats carries the counters
 
+    def parse_request(self) -> bool:
+        self._body_read = False
+        if not super().parse_request():
+            return False
+        if self.request_version == "HTTP/1.0":
+            self.close_connection = True  # one request, as HTTP/1.0 has it
+        return True
+
+    def _close_after_response(self) -> None:
+        """End the connection after this response (between headers)."""
+        if not self.close_connection:
+            self.send_header("Connection", "close")  # sets close_connection
+
+    def _body_left(self) -> bool:
+        """Whether request body bytes may still sit unread in the socket."""
+        return "Transfer-Encoding" in self.headers or (
+            not self._body_read
+            and self.headers.get("Content-Length", "0") != "0")
+
     def _send_json(self, payload: Any, status: int = 200) -> None:
         self._send_body(json.dumps(payload).encode("utf-8"), status)
 
@@ -80,6 +123,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self._body_left():  # it would parse as the next request
+            self._close_after_response()
         self.end_headers()
         self.wfile.write(body)
 
@@ -99,7 +144,9 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit", status=413)
-        return self.rfile.read(length) if length else b""
+        body = self.rfile.read(length) if length else b""
+        self._body_read = True
+        return body
 
     def _read_json(self) -> Any:
         raw = self._read_body()
@@ -161,6 +208,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json({"source": source.to_dict()})
             elif url.path == "/shutdown":
                 self._send_json({"ok": True})
+                self.wfile.flush()  # out before the process may exit
                 # shutdown() must come from another thread — it joins
                 # the serve loop this handler is running inside.
                 threading.Thread(target=self.server.shutdown,
@@ -169,21 +217,25 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_error_json(404, f"unknown path {url.path!r}")
         except ServiceError as exc:
             self._send_error_json(exc.status, str(exc))
+        except (ConnectionError, TimeoutError):
+            raise  # the client is gone or stalled: no one to answer
         except Exception as exc:  # a failed run is a 500, not a crash
             self._send_error_json(500, f"{type(exc).__name__}: {exc}")
 
     def _stream_run(self, spec: Any, result: Any) -> None:
+        # Everything that can fail runs before the 200 goes out; after
+        # it, only writes remain.
+        final = {"digest": spec.digest(), "label": spec.label(),
+                 "result": result.to_dict()}
+        last = json.dumps({"final": final}) + "\n"
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
+        self._close_after_response()  # the close delimits the stream
         self.end_headers()
         events = result.events
         for line in (events.trace_lines if events is not None else ()):
-            self.wfile.write(line.encode("utf-8"))
-            self.wfile.write(b"\n")
-        final = {"digest": spec.digest(), "label": spec.label(),
-                 "result": result.to_dict()}
-        self.wfile.write(json.dumps({"final": final}).encode("utf-8"))
-        self.wfile.write(b"\n")
+            self.wfile.write((line + "\n").encode("utf-8"))
+        self.wfile.write(last.encode("utf-8"))
 
 
 def serve(host: str = "127.0.0.1", port: int = 8023,

@@ -7,6 +7,7 @@ crashes surfacing as :class:`ExecutorError` without losing the rest of
 the batch.
 """
 
+import errno
 import json
 import os
 import subprocess
@@ -393,6 +394,19 @@ class TestResultCache:
         payload = json.loads(cache.path_for(spec).read_text())
         assert payload["version"] == code_version()
         assert RunSpec.from_dict(payload["spec"]) == spec
+
+    @pytest.mark.parametrize("call", ["os.replace", "tempfile.mkstemp"])
+    def test_full_disk_keeps_the_batch(self, tmp_path, monkeypatch, call):
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        specs = [small(), small(policy="clock-dwf"), small(seed=7)]
+        want = [r.to_dict() for r in ParallelExecutor(jobs=1).submit(specs)]
+        monkeypatch.setattr(call, no_space)
+        executor = ParallelExecutor(jobs=1, cache=ResultCache(tmp_path))
+        assert [r.to_dict() for r in executor.submit(specs)] == want
+        assert executor.stats.cache_write_errors == 3
+        assert list(tmp_path.iterdir()) == []  # no temp or partial file
 
 
 # ----------------------------------------------------------------------

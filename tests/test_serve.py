@@ -5,17 +5,23 @@ real HTTP stack end to end: cold runs, warm cache-hit re-queries
 (byte-identical, zero simulation), JSONL event streaming, trace upload
 feeding source-backed specs, the fast engines behind the same
 endpoint, the fast lane for repeated queries, error mapping (malformed
-requests sent as raw bytes), and clean shutdown.
+requests sent as raw bytes), persistent connections, injected faults
+(a client hanging up mid-stream, a full cache disk), and clean
+shutdown.
 """
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
+import os
 import socket
 import sys
 import threading
+import time
 import weakref
+from http.client import HTTPConnection
 from types import SimpleNamespace
 
 import pytest
@@ -252,6 +258,218 @@ class TestMalformedRequests:
         status, body = _raw(client.port, _post("/batch", payload))
         assert status == 400
         assert "specs" in json.loads(body)["error"]
+
+
+def _converse(port: int, request: bytes) -> list[tuple[int, dict, bytes]]:
+    """Send raw request bytes on one socket and read until the server
+    closes it; return every response as (status, headers, body)."""
+    data = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(request)
+        while chunk := sock.recv(65536):
+            data += chunk
+    responses = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = int(headers.get("Content-Length", len(data)))
+        responses.append((int(status_line.split()[1]), headers,
+                          data[:length]))
+        data = data[length:]
+    return responses
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: repro\r\n\r\n"
+
+
+class TestPersistentConnections:
+    """HTTP/1.1 keep-alive for everything but streams."""
+
+    def test_requests_share_one_connection(self, endpoint):
+        client, service = endpoint
+        spec = service.spec_from_payload(RUN)
+        want = _expected_body(service, spec)
+        conn = HTTPConnection("127.0.0.1", client.port, timeout=60)
+        try:
+            bodies, sockets = [], []
+            for _ in range(2):
+                conn.request("POST", "/run", json.dumps(RUN).encode())
+                response = conn.getresponse()
+                assert response.status == 200
+                bodies.append(response.read())
+                sockets.append(conn.sock)
+        finally:
+            conn.close()
+        assert bodies == [want, want]
+        assert sockets[0] is not None and sockets[0] is sockets[1]
+
+    def test_keep_alive_answers_in_order(self, endpoint):
+        client, _ = endpoint
+        request = (b"GET /policies HTTP/1.1\r\nHost: repro\r\n\r\n"
+                   + HEALTHZ + b"GET /healthz HTTP/1.1\r\nHost: repro\r\n"
+                   b"Connection: close\r\n\r\n")
+        responses = _converse(client.port, request)
+        assert [status for status, _, _ in responses] == [200, 200, 200]
+        assert "proposed" in json.loads(responses[0][2])["policies"]
+        assert [json.loads(body) for _, _, body in responses[1:]] \
+            == [{"ok": True}] * 2
+
+    @pytest.mark.parametrize("request_line", [
+        b"GET /healthz HTTP/1.0\r\n",
+        b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n",
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n",
+    ], ids=["http10", "http10-keep-alive", "connection-close"])
+    def test_one_response_then_close(self, endpoint, request_line):
+        client, _ = endpoint
+        responses = _converse(client.port, request_line + b"\r\n" + HEALTHZ)
+        assert [(status, body) for status, _, body in responses] \
+            == [(200, b'{"ok": true}')]
+
+    def test_stream_is_close_delimited(self, endpoint):
+        client, _ = endpoint
+        body = json.dumps(RUN).encode()
+        (status, headers, stream), = _converse(client.port, (
+            f"POST /run?stream=1 HTTP/1.1\r\nHost: repro\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body + HEALTHZ)
+        assert status == 200
+        assert headers["Connection"] == "close"
+        assert "Content-Length" not in headers
+        assert [json.loads(line) for line in stream.splitlines()] \
+            == list(client.run_stream(RUN))
+
+    @pytest.mark.parametrize("path, header, status", [
+        ("/traces", f"Content-Length: {server_module.MAX_BODY_BYTES + 1}",
+         413),
+        ("/run", "Content-Length: ten", 400),
+        ("/nope", "Content-Length: 4096", 404),
+        ("/run", "Transfer-Encoding: chunked", 400),
+    ], ids=["over-cap", "bad-length", "unknown-path", "chunked"])
+    def test_unread_body_closes_connection(self, endpoint, path, header,
+                                           status):
+        # The body bytes left in the socket must not parse as a request.
+        client, _ = endpoint
+        request = (f"POST {path} HTTP/1.1\r\nHost: repro\r\n"
+                   f"{header}\r\n\r\n").encode()
+        (got, headers, body), = _converse(
+            client.port, request + b"R 1\n" * 1024 + HEALTHZ)
+        assert got == status
+        assert headers["Connection"] == "close"
+        assert "error" in json.loads(body)
+
+
+class _HangsUp:
+    """A handler's writer whose peer disconnects at the ``n``-th write."""
+
+    def __init__(self, inner, n: int) -> None:
+        self.inner, self.left = inner, n
+
+    def write(self, data: bytes) -> int:
+        self.left -= 1
+        if self.left <= 0:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return self.inner.write(data)
+
+    def flush(self) -> None:
+        if self.left <= 0:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        self.inner.flush()
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
+
+
+class TestClientDisconnects:
+    def test_hang_up_mid_stream(self, endpoint, monkeypatch, capsys):
+        client, service = endpoint
+        payload = {**RUN, "request_scale": 0.02}
+        setup = server_module._Handler.setup
+        writers = []
+
+        def hanging_setup(handler) -> None:
+            setup(handler)
+            handler.wfile = _HangsUp(handler.wfile, 3)  # headers, 1 line
+            writers.append(handler.wfile)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(server_module._Handler, "setup", hanging_setup)
+            cut = list(client.run_stream(payload))
+        assert len(cut) == 1 and "final" not in cut[0]
+        assert [writer.left for writer in writers] == [0]  # no 500 tried
+        assert capsys.readouterr().err == ""
+        assert client.healthz()
+        simulated = service.executor.stats.simulated
+        full = list(client.run_stream(payload))
+        assert full[0] == cut[0] and "final" in full[-1]
+        assert service.executor.stats.simulated == simulated  # a cache hit
+
+
+class TestClientConnections:
+    def test_threads_share_a_client(self, endpoint):
+        client, service = endpoint
+        payloads = [RUN, {**RUN, "engine": "analytic"}]
+        wants = [_expected_body(service, service.spec_from_payload(p))
+                 for p in payloads]
+        bad: list = []
+
+        def hammer(payload: dict, want: bytes) -> None:
+            body = json.dumps(payload).encode()
+            for _ in range(50):
+                try:
+                    reply = client._request("POST", "/run", body)
+                except Exception as exc:  # recorded, not lost with the thread
+                    reply = exc
+                if reply != (200, want):
+                    bad.append(reply)
+
+        threads = [threading.Thread(target=hammer, args=pair)
+                   for pair in zip(payloads, wants)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == []
+
+    def test_retries_a_connection_closed_while_idle(self, endpoint,
+                                                    monkeypatch):
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.1)
+        client = ServeClient(port=endpoint[0].port, timeout=60)
+        first = client.run(RUN)
+        stale = client._local.conn.sock
+        time.sleep(0.5)  # the server closes the idle connection
+        assert client.run(RUN) == first
+        assert client._local.conn.sock is not stale
+
+
+class TestFullDisk:
+    def test_run_answers_when_the_cache_cannot_write(self, tmp_path,
+                                                     monkeypatch):
+        service = ReproService(jobs=1, cache=ResultCache(tmp_path / "cache"),
+                               trace_root=tmp_path / "traces")
+        server = ReproServer(("127.0.0.1", 0), service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            monkeypatch.setattr(os, "replace", _no_space)
+            client = ServeClient(port=server.server_address[1], timeout=300)
+            spec = service.spec_from_payload(RUN)
+            status, body = client._request("POST", "/run",
+                                           json.dumps(RUN).encode())
+            assert status == 200
+            assert body == json.dumps({
+                "digest": spec.digest(), "label": spec.label(),
+                "result": spec.execute().to_dict()}).encode("utf-8")
+            assert client.stats()["executor"]["cache_write_errors"] == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert list((tmp_path / "cache").iterdir()) == []
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 def _expected_body(service: ReproService, spec) -> bytes:
