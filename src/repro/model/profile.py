@@ -32,7 +32,11 @@ footprint — reads the trace's cached
 from it without sorting).  Both distance arrays come from
 :func:`repro.trace.mrc.index_distances`, the vectorised
 dominance-count kernel shared with the miss-ratio curves: ``O(n log
-n)`` work in ``O(log n)`` numpy passes, no per-access Python.  Long
+n)`` work in ``O(log n)`` numpy passes, no per-access Python.  The
+LRU distances are the index's cached
+:attr:`~repro.trace.trace.PageIndex.distances`; untruncated, that is
+the trace's own index, so the sampled engine's rate choice on the
+same trace reuses this pass.  Long
 measured regions are truncated at ``sample_cap`` accesses; counts over
 the per-access arrays then carry a scale-up ``weight``, while the
 totals stay exact.
@@ -131,7 +135,7 @@ def profile_trace(
     limit = boundary + sampled
 
     index = trace.page_index().head(limit)
-    distances = index_distances(index)
+    distances = index.distances
     measured_writes = writes[boundary:]
     span_index = index.inverse[boundary:limit]
     npages = index.pages.shape[0]

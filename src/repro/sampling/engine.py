@@ -26,6 +26,15 @@ proportions.  At rate 1 every input matches and the engine is
 bit-identical to ``engine="simulate"`` (pinned by
 ``tests/test_sampling.py``).
 
+The rate is chosen before anything replays: starting from the
+``min_pages``-clamped rate, a draw gives way to a 4x denser one while
+it has no measured request or its pages' LRU faults in the full trace
+(the trace index's cached Mattson pass, at the frames the policy can
+fill) fall short of ``min_faults`` — less two Poisson standard errors
+for the hybrid policies, whose faults that count only models.  The
+chosen draw replays once; at rate 1 that is one exact replay with no
+replicates.
+
 Uncertainty comes from stratified page-group replicates: consecutive
 sampled ranks rotate through ``groups`` disjoint sub-samples,
 each simulated at rate ``K * groups``; the spread of their scaled
@@ -40,6 +49,7 @@ the requests the full run would.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import replace
 from typing import TYPE_CHECKING
@@ -49,11 +59,12 @@ import numpy as np
 from repro.memory.accounting import AccessAccounting, WearAccounting
 from repro.memory.specs import HybridMemorySpec
 from repro.mmu.simulator import PolicyFactory, RunResult, simulate
+from repro.model.estimator import lru_capacity, single_tier
 from repro.sampling.config import SamplingConfig
 from repro.sampling.summary import MetricInterval, SamplingSummary
 from repro.trace.sampling import page_groups, page_membership, subset_trace
-from repro.trace.trace import Trace
-from repro.workloads.parsec import WorkloadInstance
+from repro.trace.trace import PageIndex, Trace
+from repro.workloads.parsec import MEMO_LIMIT, WorkloadInstance
 
 if TYPE_CHECKING:
     from repro.experiments.runspec import RunSpec
@@ -191,8 +202,8 @@ class _Membership:
     of every request, so a sweep over one rendered trace sorts it at
     most once; membership and replicate-group decisions then run over
     the (small) unique-page array and broadcast back through the
-    inverse, so redrawing at an escalated rate costs O(pages), not
-    another O(requests log requests) pass.
+    inverse, so judging a candidate rate costs O(pages), not another
+    O(requests log requests) pass.
     """
 
     def __init__(self, trace: Trace, salt: int) -> None:
@@ -205,20 +216,21 @@ class _Membership:
     def total_pages(self) -> int:
         return int(self.pages.size)
 
-    def _member(self, rate: int) -> np.ndarray:
+    def member(self, rate: int) -> np.ndarray:
+        """Page mask (over ``pages``) of the 1-in-``rate`` draw."""
         return page_membership(
             self.pages, self.counts, rate, "stratified", self.salt)
 
     def draw(self, rate: int) -> tuple[np.ndarray, int]:
         """Request mask and distinct-page count of a 1-in-``rate`` draw."""
-        member = self._member(rate)
+        member = self.member(rate)
         return member[self.inverse], int(np.count_nonzero(member))
 
     def replicate_draws(
         self, rate: int, groups: int
     ) -> list[tuple[np.ndarray, int]]:
         """The ``groups`` disjoint sub-draws of the 1-in-``rate`` draw."""
-        member = self._member(rate)
+        member = self.member(rate)
         ids = page_groups(self.counts, groups, rate)
         count = np.count_nonzero
         inverse = self.inverse
@@ -227,6 +239,41 @@ class _Membership:
             sub = member & (ids == group)
             draws.append((sub[inverse], int(count(sub))))
         return draws
+
+
+#: Per-page measured request and LRU fault counts, cached per (trace
+#: index identity, warm-up boundary, frames): one O(requests) pass
+#: serves every spec of a sweep over one trace.  Entries hold the
+#: index, so ``id()`` keys stay valid.  Cleared whole at
+#: :data:`MEMO_LIMIT`.
+_MEASURED: dict[tuple[int, int, int], tuple] = {}
+
+
+def _measured_counts(
+    index: PageIndex, boundary: int, frames: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measured requests and LRU faults at ``frames`` of each page.
+
+    A request after ``boundary`` faults in a ``frames``-frame LRU
+    memory iff its stack distance (the index's cached Mattson pass,
+    shared with the analytic profile) is -1 or at least ``frames``.
+    """
+    key = (id(index), boundary, frames)
+    cached = _MEASURED.get(key)
+    if cached is not None:
+        return cached[1]
+    pages = index.inverse[boundary:]
+    distances = index.distances[boundary:]
+    npages = index.pages.shape[0]
+    counts = (
+        np.bincount(pages, minlength=npages),
+        np.bincount(pages[(distances < 0) | (distances >= frames)],
+                    minlength=npages),
+    )
+    if len(_MEASURED) >= MEMO_LIMIT:
+        _MEASURED.clear()
+    _MEASURED[key] = (index, counts)
+    return counts
 
 
 def _replay_subset(
@@ -365,31 +412,40 @@ def sample_spec(
     total_pages = membership.total_pages
     measured_writes = int(np.count_nonzero(trace.is_write[boundary:]))
     measured_reads = len(trace) - boundary - measured_writes
-    rate = config.effective_rate(total_pages)
     policy_factory = spec.build_policy_factory()
 
-    # Adaptive escalation (SHARDS-style rate adaptation on the rare
-    # events): replay the sample, and if it observed too few faults —
-    # the count whose ~1/sqrt(n) noise dominates AMAT error — retry at
-    # a 4x denser sample, bottoming out at exact replay.  Escalation
-    # retries cost at most ~1/3 of the final replay (geometric in the
-    # densities), so the fallback stays cheap.
-    while True:
-        mask, sampled_pages = membership.draw(rate)
-        replay = _replay_subset(
-            trace, mask, sampled_pages, boundary, machine, total_pages,
-            measured_reads, measured_writes, policy_factory, gap,
-        )
-        if replay is not None:
-            observed_faults = replay[0].accounting.page_faults
-            if rate == 1 or observed_faults >= config.min_faults:
+    # SHARDS-style rate adaptation on the rare events, decided before
+    # anything replays.  Faults are the count whose ~1/sqrt(n) noise
+    # dominates AMAT error; the LRU faults a draw's pages take in the
+    # full trace, at the frames the policy can fill, predict how many
+    # its replay will see.  A draw predicted below the floor, or
+    # without a measured request, gives way to a 4x denser one,
+    # bottoming out at exact replay.  For a single-tier baseline the
+    # LRU count is its own; for a hybrid policy it is a model that
+    # errs both ways (migrations reorder the queues), so a prediction
+    # within two Poisson standard errors of ``min_faults`` passes.
+    rate = config.effective_rate(total_pages)
+    if rate > 1:
+        requests, faults = _measured_counts(
+            trace.page_index(), boundary, lru_capacity(spec.policy, machine))
+        floor = config.min_faults
+        if single_tier(spec.policy) is None:
+            floor -= 2.0 * math.sqrt(floor)
+        while rate > 1:
+            member = membership.member(rate)
+            if requests[member].any() and faults[member].sum() >= floor:
                 break
-        elif rate == 1:
-            raise SamplingError(
-                f"the warm-up boundary leaves no measured requests for "
-                f"{spec.workload!r}; lower warmup_fraction"
-            )
-        rate = max(1, rate // 4)
+            rate = max(1, rate // 4)
+    mask, sampled_pages = membership.draw(rate)
+    replay = _replay_subset(
+        trace, mask, sampled_pages, boundary, machine, total_pages,
+        measured_reads, measured_writes, policy_factory, gap,
+    )
+    if replay is None:  # only at rate 1: the other draws were checked
+        raise SamplingError(
+            f"the warm-up boundary leaves no measured requests for "
+            f"{spec.workload!r}; lower warmup_fraction"
+        )
     _, result, measured_sampled, multiplier = replay
 
     intervals: dict[str, MetricInterval] = {}

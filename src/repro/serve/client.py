@@ -46,7 +46,15 @@ class ServeClient:
         while True:
             reused, response = conn.sock is not None, None
             try:
-                conn.request(method, path, body=body)
+                try:
+                    conn.request(method, path, body=body)
+                except ConnectionError:
+                    # A server may answer (a 413 over its body cap) and
+                    # close before reading the whole body: that answer
+                    # waits in the socket.  Read it; if there is none,
+                    # the read fails and the error is handled below.
+                    if conn.sock is None:
+                        raise
                 response = conn.getresponse()
                 return response.status, response.read()
             except BaseException as exc:

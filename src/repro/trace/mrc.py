@@ -201,10 +201,12 @@ def stack_distances(trace: Trace, sample_cap: int | None = None) -> np.ndarray:
 
     ``sample_cap`` restricts the result to the trace's first
     ``sample_cap`` accesses; the prefix's index is derived from the
-    trace's cached one without sorting again.
+    trace's cached one without sorting again.  Read-only: uncapped,
+    it is the trace index's cached
+    :attr:`~repro.trace.trace.PageIndex.distances`.
     """
     stop = trace.pages[:sample_cap].shape[0]
-    return index_distances(trace.page_index().head(stop))
+    return trace.page_index().head(stop).distances
 
 
 def miss_ratio_curve(

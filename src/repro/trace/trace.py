@@ -17,6 +17,7 @@ by the cache-hierarchy filter in :mod:`repro.cpu`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -43,7 +44,8 @@ class PageIndex:
     ``inverse`` each request's position in ``pages`` and ``counts`` the
     requests per distinct page — the arrays of ``np.unique(...,
     return_inverse=True, return_counts=True)`` plus the order they
-    come from.  All four are read-only.
+    come from.  All four are read-only, as is ``distances``, the LRU
+    stack distances built from them on first use.
     """
 
     order: np.ndarray
@@ -70,6 +72,15 @@ class PageIndex:
         starts = np.zeros(self.size, dtype=bool)
         starts[np.cumsum(self.counts) - self.counts] = True
         return starts
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Mattson LRU stack distance of every request (-1 on a page's
+        first touch), computed on first use and cached: the analytic
+        profile and the sampled engine's rate choice share one pass."""
+        from repro.trace.mrc import index_distances
+
+        return _frozen(index_distances(self))
 
     def head(self, stop: int) -> "PageIndex":
         """The index of the first ``stop`` requests, derived without

@@ -441,6 +441,30 @@ class TestClientConnections:
         assert client.run(RUN) == first
         assert client._local.conn.sock is not stale
 
+    @pytest.mark.parametrize("reused", [False, True])
+    def test_oversized_upload_reads_the_413(self, endpoint, monkeypatch,
+                                            reused):
+        # The server answers 413 and closes without reading the body, so
+        # sending a body far over the cap fails part-way; the answer
+        # waiting in the socket is what the client must report, without
+        # sending the body again.
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 1000)
+        client = ServeClient(port=endpoint[0].port, timeout=60)
+        if reused:
+            assert client.healthz()
+        sent: list[str] = []
+        real = HTTPConnection.request
+
+        def counting(conn, method, url, *args, **kwargs):
+            sent.append(url)
+            return real(conn, method, url, *args, **kwargs)
+
+        monkeypatch.setattr(HTTPConnection, "request", counting)
+        with pytest.raises(ServeError) as raised:
+            client.upload_trace("R 0x1\n" * ((4 << 20) // 6), name="huge")
+        assert raised.value.status == 413
+        assert sent == ["/traces?name=huge"]
+
 
 class TestFullDisk:
     def test_run_answers_when_the_cache_cannot_write(self, tmp_path,
