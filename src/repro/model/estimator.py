@@ -23,8 +23,9 @@ single request.  Following the authors' analytical model
     threshold 1, but against 285 at read threshold 32, where
     migrations reorder the queues.  The sampled engine's rate choice
     predicts faults from the same LRU count, so it is conservative on
-    canneal (it admits a hybrid policy's draw within two standard
-    errors of its fault floor for that reason).  The DRAM/NVM hit
+    canneal (it replays a draw predicted within two standard errors
+    of its fault floor and lets the replay's count decide).  The
+    DRAM/NVM hit
     split propagates tier membership along each page's access chain:
     a page enters DRAM on its faults and is demoted to NVM once enough
     DRAM-head events (fault fills plus DRAM hits of staler pages)

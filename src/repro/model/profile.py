@@ -35,8 +35,8 @@ dominance-count kernel shared with the miss-ratio curves: ``O(n log
 n)`` work in ``O(log n)`` numpy passes, no per-access Python.  The
 LRU distances are the index's cached
 :attr:`~repro.trace.trace.PageIndex.distances`; untruncated, that is
-the trace's own index, so the sampled engine's rate choice on the
-same trace reuses this pass.  Long
+the trace's own index, so :func:`repro.trace.mrc.stack_distances` on
+the same trace reuses this pass.  Long
 measured regions are truncated at ``sample_cap`` accesses; counts over
 the per-access arrays then carry a scale-up ``weight``, while the
 totals stay exact.

@@ -21,8 +21,8 @@ DEFAULT_RATE = 16
 #: keeps at least this many pages in expectation.
 DEFAULT_MIN_PAGES = 32
 
-#: Default floor on the *predicted* (unscaled) fault count of a sampled
-#: draw: below it the engine chooses a denser sample before replaying.
+#: Default floor on the fault count a sampled replay must observe
+#: (unscaled): below it the engine moves to a denser sample.
 DEFAULT_MIN_FAULTS = 64
 
 #: Default replicate-group count for the stratified confidence
@@ -50,17 +50,16 @@ class SamplingConfig:
         handful of pages against sub-frame budgets.  ``0`` disables
         the clamp.
     min_faults:
-        Floor on the fault count a draw is *predicted* to see
-        (unscaled): the LRU faults its pages take in the full trace at
-        the frames the policy can fill.  Disk faults are the rare
-        events that dominate AMAT, and a count's relative sampling
-        error is ~``1/sqrt(n)``; for a draw predicted below this (less
-        two Poisson standard errors for a hybrid policy, whose faults
-        the LRU count only models), the engine takes a 4x denser one
-        and, ultimately, exact replay (rate 1), all before replaying
-        anything — workloads whose fault counts are intrinsically tiny
-        are exactly the ones where sampling has nothing left to
-        estimate.  ``0`` disables the floor.
+        Floor on the fault count the sampled replay must *observe*
+        (unscaled).  Disk faults are the rare events that dominate
+        AMAT, and a count's relative sampling error is ~``1/sqrt(n)``;
+        when a replay sees fewer than this many, the engine moves to a
+        4x denser sample and, ultimately, to exact replay (rate 1) —
+        workloads whose fault counts are intrinsically tiny are
+        exactly the ones where sampling has nothing left to estimate.
+        A draw whose LRU faults are predicted more than
+        ``2*sqrt(min_faults)`` under the floor is skipped without
+        being replayed.  ``0`` disables the floor.
     groups:
         Stratified replicate groups behind the per-metric confidence
         intervals; ``0`` or ``1`` disables interval estimation.

@@ -26,13 +26,15 @@ proportions.  At rate 1 every input matches and the engine is
 bit-identical to ``engine="simulate"`` (pinned by
 ``tests/test_sampling.py``).
 
-The rate is chosen before anything replays: starting from the
-``min_pages``-clamped rate, a draw gives way to a 4x denser one while
-it has no measured request or its pages' LRU faults in the full trace
-(the trace index's cached Mattson pass, at the frames the policy can
-fill) fall short of ``min_faults`` — less two Poisson standard errors
-for the hybrid policies, whose faults that count only models.  The
-chosen draw replays once; at rate 1 that is one exact replay with no
+The rate adapts to the rare events: a replay that sees fewer than
+``min_faults`` faults gives way to a 4x denser draw, down to exact
+replay.  Before a sparse draw replays, the LRU stack distances of its
+subset (its page index's cached Mattson pass, ``O(requests / K)``)
+predict its faults at the scaled frames the policy can fill — the
+replay's own count for an LRU baseline, a model for the other
+policies — and a draw with no measured request, or predicted more
+than two Poisson standard errors under ``min_faults``, is skipped
+unreplayed.  At rate 1 the engine runs one exact replay with no
 replicates.
 
 Uncertainty comes from stratified page-group replicates: consecutive
@@ -59,11 +61,11 @@ import numpy as np
 from repro.memory.accounting import AccessAccounting, WearAccounting
 from repro.memory.specs import HybridMemorySpec
 from repro.mmu.simulator import PolicyFactory, RunResult, simulate
-from repro.model.estimator import lru_capacity, single_tier
+from repro.model.estimator import lru_capacity
 from repro.sampling.config import SamplingConfig
 from repro.sampling.summary import MetricInterval, SamplingSummary
 from repro.trace.sampling import page_groups, page_membership, subset_trace
-from repro.trace.trace import PageIndex, Trace
+from repro.trace.trace import Trace
 from repro.workloads.parsec import MEMO_LIMIT, WorkloadInstance
 
 if TYPE_CHECKING:
@@ -202,8 +204,8 @@ class _Membership:
     of every request, so a sweep over one rendered trace sorts it at
     most once; membership and replicate-group decisions then run over
     the (small) unique-page array and broadcast back through the
-    inverse, so judging a candidate rate costs O(pages), not another
-    O(requests log requests) pass.
+    inverse, so each candidate rate's draw costs O(pages) plus one
+    gather, not another O(requests log requests) sort.
     """
 
     def __init__(self, trace: Trace, salt: int) -> None:
@@ -241,46 +243,52 @@ class _Membership:
         return draws
 
 
-#: Per-page measured request and LRU fault counts, cached per (trace
-#: index identity, warm-up boundary, frames): one O(requests) pass
-#: serves every spec of a sweep over one trace.  Entries hold the
-#: index, so ``id()`` keys stay valid.  Cleared whole at
-#: :data:`MEMO_LIMIT`.
-_MEASURED: dict[tuple[int, int, int], tuple] = {}
+#: Sparse draws (rate > 1), cached per (trace index identity, salt,
+#: rate, warm-up boundary): the subset trace, its distinct pages and
+#: its warm-up requests.  The subset's own page index caches the LRU
+#: stack distances the rate choice predicts from, so a sweep over one
+#: trace draws, sorts and runs that Mattson pass once per rate.
+#: Entries hold the index, so ``id()`` keys stay valid.  Cleared whole
+#: at :data:`MEMO_LIMIT`.
+_DRAWS: dict[tuple[int, int, int, int], tuple] = {}
 
 
-def _measured_counts(
-    index: PageIndex, boundary: int, frames: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measured requests and LRU faults at ``frames`` of each page.
-
-    A request after ``boundary`` faults in a ``frames``-frame LRU
-    memory iff its stack distance (the index's cached Mattson pass,
-    shared with the analytic profile) is -1 or at least ``frames``.
-    """
-    key = (id(index), boundary, frames)
-    cached = _MEASURED.get(key)
+def _sparse_draw(
+    trace: Trace, membership: _Membership, rate: int, boundary: int
+) -> tuple[Trace, int, int]:
+    """Subset trace, distinct pages and warm-up requests of the
+    1-in-``rate`` draw (memoised in :data:`_DRAWS`)."""
+    index = trace.page_index()
+    key = (id(index), membership.salt, rate, boundary)
+    cached = _DRAWS.get(key)
     if cached is not None:
         return cached[1]
-    pages = index.inverse[boundary:]
-    distances = index.distances[boundary:]
-    npages = index.pages.shape[0]
-    counts = (
-        np.bincount(pages, minlength=npages),
-        np.bincount(pages[(distances < 0) | (distances >= frames)],
-                    minlength=npages),
-    )
-    if len(_MEASURED) >= MEMO_LIMIT:
-        _MEASURED.clear()
-    _MEASURED[key] = (index, counts)
-    return counts
+    mask, pages = membership.draw(rate)
+    draw = (subset_trace(trace, mask), pages, _warm(mask, boundary))
+    if len(_DRAWS) >= MEMO_LIMIT:
+        _DRAWS.clear()
+    _DRAWS[key] = (index, draw)
+    return draw
+
+
+def _warm(mask: np.ndarray, boundary: int) -> int:
+    """Requests of the masked subset that fall before ``boundary``."""
+    return int(np.count_nonzero(mask[:boundary])) if boundary else 0
+
+
+def _predicted_faults(subset: Trace, warm: int, frames: int) -> int:
+    """Faults a ``frames``-frame LRU memory takes on ``subset`` after
+    its first ``warm`` requests: those whose stack distance (the
+    subset index's cached Mattson pass) is -1 or at least ``frames``.
+    """
+    distances = subset.page_index().distances[warm:]
+    return int(np.count_nonzero((distances < 0) | (distances >= frames)))
 
 
 def _replay_subset(
-    trace: Trace,
-    mask: np.ndarray,
+    subset: Trace,
+    warm: int,
     subset_pages: int,
-    boundary: int,
     machine: HybridMemorySpec,
     total_pages: int,
     measured_reads: int,
@@ -288,12 +296,12 @@ def _replay_subset(
     factory: PolicyFactory,
     gap: float,
 ) -> tuple[RunResult, RunResult, int, float] | None:
-    """Simulate the masked subset at a proportionally scaled frame
-    budget, scale its counters up and score them against the full
-    ``machine``; ``None`` when the subset has no measured span
-    (degenerate replicate).  Returns the subset's own result, the
-    scaled result, the measured sampled request count and the request
-    multiplier.
+    """Simulate ``subset`` (its first ``warm`` requests warming up) at
+    a proportionally scaled frame budget, scale its counters up and
+    score them against the full ``machine``; ``None`` when the subset
+    has no measured span (degenerate replicate).  Returns the subset's
+    own result, the scaled result, the measured sampled request count
+    and the request multiplier.
 
     The frame budget scales by the *measured* page ratio (the
     SHARDS-adj correction): a draw that lands more pages than
@@ -301,12 +309,8 @@ def _replay_subset(
     frames-per-page capacity ratio — which the fault rate is extremely
     sensitive to — matches the full configuration exactly.
     """
-    if not subset_pages:
-        return None
-    subset = subset_trace(trace, mask)
-    warm = int(np.count_nonzero(mask[:boundary])) if boundary else 0
     measured_sampled = len(subset) - warm
-    if measured_sampled <= 0:
+    if not subset_pages or measured_sampled <= 0:
         return None
     raw = simulate(
         subset,
@@ -323,7 +327,7 @@ def _replay_subset(
         dram_share=machine.dram_pages / machine.total_pages,
     )
     scaled = RunResult.scored(
-        trace.name, raw.policy, machine, accounting, wear, gap)
+        subset.name, raw.policy, machine, accounting, wear, gap)
     return raw, scaled, measured_sampled, multiplier
 
 
@@ -366,9 +370,9 @@ def _replicate_intervals(
         rate, config.groups
     ):
         replay = _replay_subset(
-            trace, sub_mask, sub_pages, boundary,
-            machine, total_pages, measured_reads, measured_writes,
-            factory, gap,
+            subset_trace(trace, sub_mask), _warm(sub_mask, boundary),
+            sub_pages, machine, total_pages, measured_reads,
+            measured_writes, factory, gap,
         )
         if replay is None:
             continue
@@ -414,38 +418,41 @@ def sample_spec(
     measured_reads = len(trace) - boundary - measured_writes
     policy_factory = spec.build_policy_factory()
 
-    # SHARDS-style rate adaptation on the rare events, decided before
-    # anything replays.  Faults are the count whose ~1/sqrt(n) noise
-    # dominates AMAT error; the LRU faults a draw's pages take in the
-    # full trace, at the frames the policy can fill, predict how many
-    # its replay will see.  A draw predicted below the floor, or
-    # without a measured request, gives way to a 4x denser one,
-    # bottoming out at exact replay.  For a single-tier baseline the
-    # LRU count is its own; for a hybrid policy it is a model that
-    # errs both ways (migrations reorder the queues), so a prediction
-    # within two Poisson standard errors of ``min_faults`` passes.
+    # SHARDS-style rate adaptation on the rare events.  Faults are the
+    # count whose ~1/sqrt(n) noise dominates AMAT error, so a replay
+    # that sees fewer than ``min_faults`` gives way to a 4x denser
+    # draw, bottoming out at exact replay.  A sparse draw is first
+    # judged unreplayed: the LRU faults of its subset at the scaled
+    # frames the policy can fill predict what its replay will see —
+    # exactly for an LRU baseline, as a model for the others — and a
+    # draw without a measured request, or predicted more than two
+    # Poisson standard errors under the floor, is skipped.
     rate = config.effective_rate(total_pages)
-    if rate > 1:
-        requests, faults = _measured_counts(
-            trace.page_index(), boundary, lru_capacity(spec.policy, machine))
-        floor = config.min_faults
-        if single_tier(spec.policy) is None:
-            floor -= 2.0 * math.sqrt(floor)
-        while rate > 1:
-            member = membership.member(rate)
-            if requests[member].any() and faults[member].sum() >= floor:
-                break
-            rate = max(1, rate // 4)
-    mask, sampled_pages = membership.draw(rate)
-    replay = _replay_subset(
-        trace, mask, sampled_pages, boundary, machine, total_pages,
-        measured_reads, measured_writes, policy_factory, gap,
-    )
-    if replay is None:  # only at rate 1: the other draws were checked
-        raise SamplingError(
-            f"the warm-up boundary leaves no measured requests for "
-            f"{spec.workload!r}; lower warmup_fraction"
+    skip_below = config.min_faults - 2.0 * math.sqrt(config.min_faults)
+    while True:
+        if rate == 1:
+            subset, sampled_pages, warm = trace, total_pages, boundary
+        else:
+            subset, sampled_pages, warm = _sparse_draw(
+                trace, membership, rate, boundary)
+            if len(subset) == warm or _predicted_faults(
+                subset, warm, lru_capacity(spec.policy, machine.sampled(
+                    total_pages / sampled_pages)),
+            ) < skip_below:
+                rate = max(1, rate // 4)
+                continue
+        replay = _replay_subset(
+            subset, warm, sampled_pages, machine, total_pages,
+            measured_reads, measured_writes, policy_factory, gap,
         )
+        if replay is None:  # only at rate 1: sparse draws were checked
+            raise SamplingError(
+                f"the warm-up boundary leaves no measured requests for "
+                f"{spec.workload!r}; lower warmup_fraction"
+            )
+        if rate == 1 or replay[0].accounting.page_faults >= config.min_faults:
+            break
+        rate = max(1, rate // 4)
     _, result, measured_sampled, multiplier = replay
 
     intervals: dict[str, MetricInterval] = {}

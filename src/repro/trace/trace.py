@@ -77,7 +77,8 @@ class PageIndex:
     def distances(self) -> np.ndarray:
         """Mattson LRU stack distance of every request (-1 on a page's
         first touch), computed on first use and cached: the analytic
-        profile and the sampled engine's rate choice share one pass."""
+        profile and the miss-ratio curves share one pass, and the
+        sampled engine reads it off each draw's subset."""
         from repro.trace.mrc import index_distances
 
         return _frozen(index_distances(self))

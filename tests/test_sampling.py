@@ -318,19 +318,21 @@ class TestAdaptation:
 
 
 # ----------------------------------------------------------------------
-# Rate choice: decided from predicted LRU faults, then one replay
+# Rate choice: hopeless draws skipped unreplayed, replays checked
 # ----------------------------------------------------------------------
-def _counting_simulate(monkeypatch) -> list[int]:
-    """Patch the engine's ``simulate`` to record each replay's length."""
-    lengths: list[int] = []
+def _counting_simulate(monkeypatch) -> list[tuple[int, int]]:
+    """Patch the engine's ``simulate`` to record each replay's length
+    and the (unscaled) faults it saw."""
+    replays: list[tuple[int, int]] = []
     real = engine_module.simulate
 
     def counting(trace, *args, **kwargs):
-        lengths.append(len(trace))
-        return real(trace, *args, **kwargs)
+        result = real(trace, *args, **kwargs)
+        replays.append((len(trace), result.accounting.page_faults))
+        return result
 
     monkeypatch.setattr(engine_module, "simulate", counting)
-    return lengths
+    return replays
 
 
 def _predicted_faults(spec: RunSpec, instance, rate: int) -> int:
@@ -338,10 +340,12 @@ def _predicted_faults(spec: RunSpec, instance, rate: int) -> int:
     _, machine, warmup = spec.resolve(instance)
     trace = instance.trace
     boundary = int(len(trace) * warmup)
-    _, faults = engine_module._measured_counts(
-        trace.page_index(), boundary, lru_capacity(spec.policy, machine))
-    member = _Membership(trace, spec.sampling.salt).member(rate)
-    return int(faults[member].sum())
+    membership = _Membership(trace, spec.sampling.salt)
+    subset, pages, warm = engine_module._sparse_draw(
+        trace, membership, rate, boundary)
+    scaled = machine.sampled(membership.total_pages / pages)
+    return engine_module._predicted_faults(
+        subset, warm, lru_capacity(spec.policy, scaled))
 
 
 class TestRateChoice:
@@ -352,12 +356,14 @@ class TestRateChoice:
         spec = RunSpec("zipf", engine="sampled", sampling=SamplingConfig(
             rate=16, min_faults=64, min_pages=8, groups=groups))
         summary = spec.execute(instance=zipf_instance).sampling
-        assert 1 < summary.effective_rate < 16
+        # The 1-in-16 draw is predicted 31 faults, under 64 - 2*8, and
+        # is skipped; the 1-in-4 draw is predicted 157 and replayed.
+        assert summary.effective_rate == 4
         # One main replay, then at most one replay per replicate group,
         # each smaller than the main one.
         assert len(calls) <= 1 + (groups if groups > 1 else 0)
         assert len(calls) == 1 + summary.groups
-        assert all(length < calls[0] for length in calls[1:])
+        assert all(length < calls[0][0] for length, _ in calls[1:])
 
     def test_an_exact_spec_replays_once_without_groups(
             self, zipf_instance, monkeypatch):
@@ -367,22 +373,28 @@ class TestRateChoice:
         summary = spec.execute(instance=zipf_instance).sampling
         assert summary.effective_rate == 1
         assert summary.groups == 0
-        assert calls == [len(zipf_instance.trace)]
+        assert [length for length, _ in calls] == [len(zipf_instance.trace)]
 
     @pytest.mark.parametrize("policy, transform, faults", [
-        ("nvm-only", (), 1038),
-        ("dram-only", (), 8246),
-        ("nvm-only", ("nvm-only",), 751),
-        ("dram-only", ("dram-only",), 751),
+        ("nvm-only", (), {1: 1038, 4: 238, 16: 50}),
+        ("dram-only", (), {1: 8246, 4: 1960, 16: 435}),
+        ("nvm-only", ("nvm-only",), {1: 751, 4: 167, 16: 31}),
+        ("dram-only", ("dram-only",), {1: 751, 4: 167, 16: 31}),
     ])
-    def test_prediction_is_exact_for_lru_at_rate_one(
-            self, zipf_instance, policy, transform, faults):
-        spec = RunSpec("zipf", policy=policy, spec_transform=transform,
-                       engine="sampled", sampling=SamplingConfig(rate=1))
-        exact = replace(spec, engine="simulate", sampling=None)
-        replayed = exact.execute(instance=zipf_instance).accounting
-        assert replayed.page_faults == faults
-        assert _predicted_faults(spec, zipf_instance, 1) == faults
+    def test_prediction_is_the_lru_replay(
+            self, zipf_instance, monkeypatch, policy, transform, faults):
+        # For an LRU baseline the prediction is the count its replay
+        # sees, at every rate: the same subset at the same frames.
+        calls = _counting_simulate(monkeypatch)
+        for rate, expected in faults.items():
+            spec = RunSpec("zipf", policy=policy, spec_transform=transform,
+                           engine="sampled", sampling=SamplingConfig(
+                               rate=rate, min_pages=0, min_faults=0,
+                               groups=1))
+            assert _predicted_faults(spec, zipf_instance, rate) == expected
+            calls.clear()
+            spec.execute(instance=zipf_instance)
+            assert calls[0][1] == expected
 
     @pytest.mark.parametrize("policy, rates", [
         ("proposed", (4, 2)),
@@ -402,22 +414,43 @@ class TestRateChoice:
         )
         assert chosen == rates
 
-    def test_hybrid_draws_pass_within_two_standard_errors(self,
-                                                          zipf_instance):
-        # LRU predicts 53 faults for the proposed policy's 1-in-4 draw
-        # of the canneal Fig. 4 cell, which replays 65: under the
-        # 64-fault floor but within 2 * sqrt(64) of it.  The LRU
-        # baselines keep the plain floor (the nvm-only pin above: a
-        # 1-in-16 draw predicted 59 is not taken).
+    @pytest.mark.parametrize("policy", available_policies())
+    def test_a_sampled_replay_sees_min_faults(self, zipf_instance,
+                                              monkeypatch, policy):
+        # Whatever the prediction said, the replay a sampled result
+        # comes from saw at least ``min_faults`` faults.
+        calls = _counting_simulate(monkeypatch)
+        summary = RunSpec("zipf", policy=policy, engine="sampled",
+                          sampling=SamplingConfig(rate=16, min_faults=64,
+                                                  min_pages=8, groups=1)
+                          ).execute(instance=zipf_instance).sampling
+        assert summary.effective_rate > 1
+        assert calls[-1][1] >= 64
+
+    def test_a_near_miss_is_replayed_and_checked(self, zipf_instance,
+                                                 monkeypatch):
+        # nvm-only's 1-in-16 draw is predicted 50 faults: within two
+        # standard errors of 64, so it is replayed; it sees 50, and the
+        # engine moves on to the 1-in-4 draw.
+        calls = _counting_simulate(monkeypatch)
+        spec = RunSpec("zipf", policy="nvm-only", engine="sampled",
+                       sampling=SamplingConfig(rate=16, min_faults=64,
+                                               min_pages=8, groups=1))
+        assert _predicted_faults(spec, zipf_instance, 16) == 50
+        summary = spec.execute(instance=zipf_instance).sampling
+        assert summary.effective_rate == 4
+        assert [faults for _, faults in calls] == [50, 238]
+
+    def test_a_hybrid_near_miss_can_sample(self):
+        # LRU predicts 51 faults for the proposed policy's 1-in-4 draw
+        # of the canneal Fig. 4 cell; migrations reorder its queues and
+        # the replay sees 65, so the cell samples at 1/4.
         spec = RunSpec.core("canneal", "proposed", engine="sampled",
                             sampling=SamplingConfig(rate=16, groups=1))
         instance = spec.render()
-        assert _predicted_faults(spec, instance, 4) == 53
-        assert _predicted_faults(spec, instance, 16) == 12
+        assert _predicted_faults(spec, instance, 16) == 11
+        assert _predicted_faults(spec, instance, 4) == 51
         assert spec.execute(instance=instance).sampling.effective_rate == 4
-        zipf = RunSpec("zipf", policy="nvm-only", engine="sampled",
-                       sampling=SamplingConfig(rate=16, min_pages=8))
-        assert _predicted_faults(zipf, zipf_instance, 16) == 59
 
     def test_an_empty_measured_draw_is_never_replayed(self, monkeypatch):
         # Every page is touched in the warm-up half; the measured half
