@@ -20,6 +20,8 @@ only decides when pages cross between them:
 
 from __future__ import annotations
 
+import sys
+
 from repro.core.config import DEFAULT_CONFIG, MigrationConfig
 from repro.core.lru import LRUNode, LRUQueue
 from repro.mmu.dma import channel as _dma_channel
@@ -28,6 +30,12 @@ from repro.mmu.page import PageLocation, PageTableEntry
 from repro.obs.events import EvictionEvent, MigrationEvent, PageFaultEvent
 from repro.policies.base import HybridMemoryPolicy
 
+#: The per-request methods whose stock versions the batched kernel
+#: inlines; a subclass overriding any of them replays request by
+#: request.
+_KERNEL_METHODS = (
+    "access", "_nvm_hit", "_promote", "_page_fault", "_demote_dram_victim",
+)
 
 class MigrationLRUPolicy(HybridMemoryPolicy):
     """The paper's proposed scheme: two LRUs plus windowed hot counters."""
@@ -92,11 +100,24 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
           carries no position windows), and the manager's
           ``record_request`` + ``serve_hit`` accounting is applied
           directly (the sanitizer checks at runtime that each path
-          still records the request exactly once).
-        * **NVM hit**: the queue touch *including* the two position
-          windows' boundary bookkeeping (:class:`PositionWindow`) is
-          inlined, as are the windowed read/write counter ticks of
-          Algorithm 1 lines 10-22.
+          still records the request exactly once).  A DRAM-queue page
+          is DRAM-resident and an NVM-queue page NVM-resident, and no
+          page of this policy family ever has a DRAM copy, so the hit
+          paths carry no location or copy checks.
+        * **NVM hit**: in the steady state — the queue longer than
+          both windows — the touch *including* both position windows'
+          boundary bookkeeping (:class:`PositionWindow`) is one inline
+          block: the page's window mask is written once, and no link
+          of a non-head page can be ``None``.  The windowed counter
+          ticks of Algorithm 1 lines 10-22 follow.  A queue that a
+          window still covers goes through ``LRUQueue.touch``.
+        * **Promotion**: in the steady state with DRAM full, no event
+          bus and the default hooks, :meth:`_promote` is one inline
+          block.  The victim (DRAM's LRU) takes the promoted page's
+          place at the NVM head, so every other NVM page keeps its
+          position; the frames swap and both migrations and the
+          victim's wear are counted.  Every other case calls
+          :meth:`_promote`.
         * **Page fault**: the steady-state cascade — evict NVM's LRU
           to disk, demote DRAM's LRU into NVM, fill the faulting page
           into DRAM (Algorithm 1 lines 27-28) — is inlined end to end,
@@ -120,33 +141,30 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
         ``finally`` block folds the remainder — so the event stream is
         byte-identical to the per-request path's.
 
-        Promotions keep going through :meth:`_promote` — they are rare
-        and carry multi-step bookkeeping — and the subclass hooks
-        ``_on_promoted``/``_on_demoted`` are always honoured.  Hooks
-        may retune ``read_threshold``/``write_threshold`` (the adaptive
-        policy does): the kernel reloads both after every call that can
-        reach a hook.  Hooks must not mutate the queues, windows or
-        manager structures themselves; no shipped subclass does.
+        The subclass hooks ``_on_promoted``/``_on_demoted`` are always
+        honoured.  Hooks may retune ``read_threshold``/
+        ``write_threshold`` (the adaptive policy does): the kernel
+        reloads both after every call that can reach a hook.  Hooks
+        must not mutate the queues, windows or manager structures
+        themselves; no shipped subclass does.
 
         The kernel only runs when the concrete class left the
-        per-request machinery untouched; subclasses overriding
-        ``access`` or ``_nvm_hit`` (or attaching extra windows) fall
-        back to the generic per-request loop, so behavioural overrides
-        are never bypassed.
+        per-request machinery untouched; subclasses overriding any of
+        :data:`_KERNEL_METHODS` (or attaching windows to the DRAM
+        queue) fall back to the generic per-request loop, so
+        behavioural overrides are never bypassed.
         """
         cls = type(self)
         dram = self.dram_lru
-        if (
-            cls.access is not MigrationLRUPolicy.access
-            or cls._nvm_hit is not MigrationLRUPolicy._nvm_hit
-            or dram._windows
+        if dram._windows or any(
+            getattr(cls, name) is not getattr(MigrationLRUPolicy, name)
+            for name in _KERNEL_METHODS
         ):
             super().access_batch(pages, writes)
             return
 
         mm = self.mm
         record_request = mm.record_request
-        serve_hit = mm.serve_hit
         accounting = mm.accounting
         wear = mm.wear
         page_factor = wear.page_factor
@@ -172,6 +190,7 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
         nvm_disk_channel = _dma_channel(PageLocation.NVM, PageLocation.DISK)
         dram_nvm_channel = _dma_channel(PageLocation.DRAM, PageLocation.NVM)
         disk_dram_channel = _dma_channel(PageLocation.DISK, PageLocation.DRAM)
+        nvm_dram_channel = _dma_channel(PageLocation.NVM, PageLocation.DRAM)
         # Window bookkeeping may only be inlined when the queue carries
         # exactly the scheme's two windows with the stock counter-reset
         # callbacks; anything else routes through LRUQueue.touch.  The
@@ -188,6 +207,11 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
         wbit = wwin._bit
         rsize = rwin.size
         wsize = wwin.size
+        # An NVM queue longer than ``span`` is in the steady state: each
+        # window's boundary has a page below it.  A freshly touched
+        # page sits in every window of nonzero size (``live_bits``).
+        span = max(rsize, wsize) if fast_windows else sys.maxsize
+        live_bits = (rbit if rsize else 0) | (wbit if wsize else 0)
         promote = self._promote
         page_fault = self._page_fault
         on_demoted = (
@@ -195,13 +219,19 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
             if cls._on_demoted is MigrationLRUPolicy._on_demoted
             else self._on_demoted
         )
+        bus = mm.events
+        inline_promotions = (
+            fast_faults
+            and bus is None
+            and on_demoted is None
+            and cls._on_promoted is MigrationLRUPolicy._on_promoted
+        )
         read_threshold = self.read_threshold
         write_threshold = self.write_threshold
         dram_location = PageLocation.DRAM
         nvm_location = PageLocation.NVM
         make_node = LRUNode
         make_entry = PageTableEntry
-        bus = mm.events
         # Requests already folded into the bus clock; the deferred
         # request counters minus this are the kernel's clock debt.
         synced = 0
@@ -218,63 +248,48 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
         faults_filled_dram = 0
         clean_evictions = 0
         dirty_evictions = 0
+        migrations_to_dram = 0
         migrations_to_nvm = 0
         request_writes = 0
         migration_writes = 0
         moved_nvm_disk = 0
         moved_dram_nvm = 0
         moved_disk_dram = 0
+        moved_nvm_dram = 0
 
         try:
             for page, is_write in zip(pages, writes):
                 node = dram_nodes_get(page)
                 if node is not None:
-                    # --- DRAM hit: inline LRUQueue.touch (no windows) ---
-                    if node is not dram._head:
+                    # --- DRAM hit: inline LRUQueue.touch (no windows);
+                    # a non-head node has a prev and the queue a head ---
+                    head = dram._head
+                    if node is not head:
                         prev = node.prev
                         nxt = node.next
-                        if prev is not None:
-                            prev.next = nxt
-                        else:
-                            dram._head = nxt
+                        prev.next = nxt
                         if nxt is not None:
                             nxt.prev = prev
                         else:
                             dram._tail = prev
                         node.prev = None
-                        head = dram._head
                         node.next = head
-                        if head is not None:
-                            head.prev = node
+                        head.prev = node
                         dram._head = node
-                        if dram._tail is None:
-                            dram._tail = node
                     # --- inline record_request + serve_hit, DRAM branch ---
                     entry = node.payload
                     if entry is None:
                         node.payload = entry = entries[page]
-                    if (
-                        entry.location is dram_location
-                        or entry.copy_frame is not None
-                    ):
-                        if is_write:
-                            write_requests += 1
-                            dram_write_hits += 1
-                            if entry.copy_frame is not None:
-                                entry.copy_dirty = True
-                            entry.write_count += 1
-                            entry.dirty = True
-                        else:
-                            read_requests += 1
-                            dram_read_hits += 1
-                        entry.referenced = True
-                        entry.access_count += 1
+                    if is_write:
+                        write_requests += 1
+                        dram_write_hits += 1
+                        entry.write_count += 1
+                        entry.dirty = True
                     else:
-                        if bus is not None:
-                            bus.clock += read_requests + write_requests - synced
-                            synced = read_requests + write_requests
-                        record_request(is_write)
-                        serve_hit(page, is_write)
+                        read_requests += 1
+                        dram_read_hits += 1
+                    entry.referenced = True
+                    entry.access_count += 1
                     continue
                 node = nvm_nodes_get(page)
                 if node is None:
@@ -351,8 +366,7 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
                         dtail.prev = None
                         # mm.migrate(victim_page, NVM), inlined.  The
                         # victim came off the DRAM queue, so its entry
-                        # is DRAM-resident and (for this policy) never
-                        # carries a copy; a frame is free because we
+                        # is DRAM-resident; a frame is free because we
                         # either evicted above or NVM had room.
                         mentry = entries[victim_page]
                         if nvm_freelist:
@@ -382,8 +396,9 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
                                 write_count=mentry.write_count,
                             ))
                         # nvm_lru.push_front(victim_page), inlined with
-                        # both windows' _after_push_front.
-                        vnode = make_node(victim_page)
+                        # both windows' _after_push_front.  The DRAM node
+                        # moves over: DRAM nodes carry no counters.
+                        vnode = dtail
                         vnode.payload = mentry
                         nvm_nodes[victim_page] = vnode
                         head = nvm._head
@@ -467,110 +482,148 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
                 # --- NVM hit: _nvm_hit with touch + windows inlined ---
                 mask = node._window_mask
                 was_inside = mask & (wbit if is_write else rbit)
-                if not fast_windows:
+                steady = len(nvm_nodes) > span
+                if not steady:
+                    # A window covers the queue (or is not the stock
+                    # pair): the generic touch keeps its boundary.
                     nvm_touch(page)
                 elif node is not nvm._head:
-                    length = len(nvm_nodes)
-                    # PositionWindow._before_unlink_for_touch, read window.
-                    if rsize and length > rsize:
-                        if mask & rbit:
-                            if node is rwin._boundary:
-                                rwin._boundary = node.prev
-                        else:
+                    # PositionWindow._before_unlink_for_touch per live
+                    # window: the boundary page of a window the node
+                    # enters is pushed out (and its counter reset).
+                    if rsize:
+                        if not mask & rbit:
                             old = rwin._boundary
-                            node._window_mask |= rbit
                             rwin._boundary = old.prev if rsize > 1 else node
                             old._window_mask &= ~rbit
                             old.read_counter = 0
-                    # Same for the write window (the read window's pass may
-                    # have changed the node's mask, so re-read it).
-                    mask = node._window_mask
-                    if wsize and length > wsize:
-                        if mask & wbit:
-                            if node is wwin._boundary:
-                                wwin._boundary = node.prev
-                        else:
+                        elif node is rwin._boundary:
+                            rwin._boundary = node.prev
+                    if wsize:
+                        if not mask & wbit:
                             old = wwin._boundary
-                            node._window_mask |= wbit
                             wwin._boundary = old.prev if wsize > 1 else node
                             old._window_mask &= ~wbit
                             old.write_counter = 0
-                    # LRUQueue._unlink + _link_front.
+                        elif node is wwin._boundary:
+                            wwin._boundary = node.prev
+                    node._window_mask = live_bits
+                    # LRUQueue._unlink + _link_front; a non-head node
+                    # has a prev and the queue a head.
                     prev = node.prev
                     nxt = node.next
-                    if prev is not None:
-                        prev.next = nxt
-                    else:
-                        nvm._head = nxt
+                    prev.next = nxt
                     if nxt is not None:
                         nxt.prev = prev
                     else:
                         nvm._tail = prev
-                    node.prev = None
                     head = nvm._head
+                    node.prev = None
                     node.next = head
-                    if head is not None:
-                        head.prev = node
+                    head.prev = node
                     nvm._head = node
-                    if nvm._tail is None:
-                        nvm._tail = node
-                    # PositionWindow._after_touch: while the queue is still
-                    # shorter than a window, its boundary is the tail.
-                    if rsize and length <= rsize:
-                        rwin._boundary = nvm._tail
-                    if wsize and length <= wsize:
-                        wwin._boundary = nvm._tail
-                # --- inline record_request + serve_hit, NVM branch ---
+                # --- inline record_request + serve_hit, NVM branch, then
+                # Algorithm 1 lines 10-22: the windowed counter tick ---
                 entry = node.payload
                 if entry is None:
                     node.payload = entry = entries[page]
-                if entry.location is dram_location or entry.copy_frame is not None:
-                    if bus is not None:
-                        bus.clock += read_requests + write_requests - synced
-                        synced = read_requests + write_requests
-                    record_request(is_write)
-                    serve_hit(page, is_write)
-                elif is_write:
+                entry.referenced = True
+                entry.access_count += 1
+                if is_write:
                     write_requests += 1
                     nvm_write_hits += 1
                     request_writes += 1
                     page_writes[page] = page_writes.get(page, 0) + 1
                     entry.write_count += 1
                     entry.dirty = True
-                    entry.referenced = True
-                    entry.access_count += 1
-                else:
-                    read_requests += 1
-                    nvm_read_hits += 1
-                    entry.referenced = True
-                    entry.access_count += 1
-                # Algorithm 1 lines 10-25: windowed counter tick + promote.
-                if is_write:
                     counter = node.write_counter = (
                         node.write_counter + 1 if was_inside else 1
                     )
-                    if counter > write_threshold:
-                        if bus is not None:
-                            bus.clock += (
-                                read_requests + write_requests - synced
-                            )
-                            synced = read_requests + write_requests
-                        promote(page, trigger_is_write=True)
-                        read_threshold = self.read_threshold
-                        write_threshold = self.write_threshold
+                    if counter <= write_threshold:
+                        continue
                 else:
+                    read_requests += 1
+                    nvm_read_hits += 1
                     counter = node.read_counter = (
                         node.read_counter + 1 if was_inside else 1
                     )
-                    if counter > read_threshold:
-                        if bus is not None:
-                            bus.clock += (
-                                read_requests + write_requests - synced
-                            )
-                            synced = read_requests + write_requests
-                        promote(page, trigger_is_write=False)
-                        read_threshold = self.read_threshold
-                        write_threshold = self.write_threshold
+                    if counter <= read_threshold:
+                        continue
+                # --- Algorithm 1 lines 23-25: promote the page ---
+                if not (
+                    inline_promotions
+                    and steady
+                    and len(dram_allocated) >= dram_capacity
+                ):
+                    if bus is not None:
+                        bus.clock += read_requests + write_requests - synced
+                        synced = read_requests + write_requests
+                    promote(page, trigger_is_write=is_write)
+                    read_threshold = self.read_threshold
+                    write_threshold = self.write_threshold
+                    continue
+                # Steady state, DRAM full: _promote inlined.  DRAM's LRU
+                # victim takes the promoted page's place at the NVM head
+                # (its remove + push_front), so every other NVM page
+                # keeps its position and window membership.  The page
+                # below each boundary rises in on the removal and drops
+                # out on the push; its counter, zero like that of every
+                # page outside a window, stays zero.  Only a one-page
+                # window's boundary (the head) changes.
+                victim = dram._tail
+                if rsize == 1:
+                    rwin._boundary = victim
+                if wsize == 1:
+                    wwin._boundary = victim
+                # dram_lru.pop_lru(), inlined (no windows).
+                victim_page = victim.page
+                del dram_nodes[victim_page]
+                prev = victim.prev
+                if prev is not None:
+                    prev.next = None
+                else:
+                    dram._head = None
+                dram._tail = prev
+                # The victim's node replaces the promoted page's at the
+                # NVM head (DRAM nodes carry no counters).
+                ventry = victim.payload
+                if ventry is None:
+                    victim.payload = ventry = entries[victim_page]
+                del nvm_nodes[page]
+                nvm_nodes[victim_page] = victim
+                nxt = node.next
+                victim.prev = None
+                victim.next = nxt
+                if nxt is not None:
+                    nxt.prev = victim
+                else:
+                    nvm._tail = victim
+                nvm._head = victim
+                victim._window_mask = live_bits
+                # mm.swap(page, victim_page), inlined.
+                entry.location = dram_location
+                ventry.location = nvm_location
+                entry.frame, ventry.frame = ventry.frame, entry.frame
+                moved_nvm_dram += 1
+                moved_dram_nvm += 1
+                migrations_to_dram += 1
+                migrations_to_nvm += 1
+                migration_writes += page_factor
+                page_writes[victim_page] = (
+                    page_writes.get(victim_page, 0) + page_factor
+                )
+                # dram_lru.push_front(page): the promoted node moves
+                # over with its counters and window mask cleared.
+                node.read_counter = node.write_counter = 0
+                node._window_mask = 0
+                head = dram._head
+                node.next = head
+                if head is not None:
+                    head.prev = node
+                else:
+                    dram._tail = node
+                dram._head = node
+                dram_nodes[page] = node
         finally:
             if bus is not None:
                 bus.clock += read_requests + write_requests - synced
@@ -585,24 +638,21 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
             accounting.faults_filled_dram += faults_filled_dram
             accounting.clean_evictions += clean_evictions
             accounting.dirty_evictions += dirty_evictions
+            accounting.migrations_to_dram += migrations_to_dram
             accounting.migrations_to_nvm += migrations_to_nvm
             wear.request_writes += request_writes
             wear.migration_writes += migration_writes
             # A channel key only exists once a transfer used it, so a
             # zero count must not create one (the transfer log would
             # differ from the per-request path's).
-            if moved_nvm_disk:
-                transfers[nvm_disk_channel] = (
-                    transfers.get(nvm_disk_channel, 0) + moved_nvm_disk
-                )
-            if moved_dram_nvm:
-                transfers[dram_nvm_channel] = (
-                    transfers.get(dram_nvm_channel, 0) + moved_dram_nvm
-                )
-            if moved_disk_dram:
-                transfers[disk_dram_channel] = (
-                    transfers.get(disk_dram_channel, 0) + moved_disk_dram
-                )
+            for channel, moved in (
+                (nvm_disk_channel, moved_nvm_disk),
+                (dram_nvm_channel, moved_dram_nvm),
+                (disk_dram_channel, moved_disk_dram),
+                (nvm_dram_channel, moved_nvm_dram),
+            ):
+                if moved:
+                    transfers[channel] = transfers.get(channel, 0) + moved
 
     def _nvm_hit(self, page: int, is_write: bool) -> None:
         node = self.nvm_lru.node(page)

@@ -93,9 +93,10 @@ ANALYTIC_POLICIES = ("proposed", "clock-dwf", "dram-only*", "nvm-only*")
 _CONFIG_FIELDS = tuple(f.name for f in _dataclass_fields(MigrationConfig))
 
 #: Profiles are expensive relative to estimates, so estimate_spec keeps
-#: one per rendered workload (cleared whole at :data:`MEMO_LIMIT`).
-#: Worker processes each build their own.
-_PROFILES: dict[tuple, WorkloadProfile] = {}
+#: one per rendered workload and warm-up (cleared whole at
+#: :data:`MEMO_LIMIT`).  Worker processes each build their own.
+#: Entries hold the trace's page index, so ``id()`` keys stay valid.
+_PROFILES: dict[tuple, tuple[PageIndex | None, WorkloadProfile]] = {}
 
 
 class UnsupportedPolicyError(ValueError):
@@ -693,19 +694,29 @@ def estimate_run(
 def estimate_spec(spec: "RunSpec", instance=None) -> RunResult:
     """Analytic counterpart of ``RunSpec.execute()``: render (or reuse)
     the workload profile, apply the machine transform, estimate."""
+    given = instance
     instance, machine, warmup = spec.resolve(instance)
-    cache_key = (
-        # External sources key by content digest (names can collide).
-        spec.source.digest if spec.source is not None else spec.workload,
-        spec.request_scale, spec.footprint_scale,
-        spec.seed, warmup,
-    )
-    profile = _PROFILES.get(cache_key)
-    if profile is None:
+    if given is None:
+        # The spec's own rendering is a function of its fields.
+        index = None
+        cache_key = (
+            # External sources key by content digest (names can collide).
+            spec.source.digest if spec.source is not None else spec.workload,
+            spec.request_scale, spec.footprint_scale, spec.seed, warmup,
+        )
+    else:
+        # A given instance need not be the spec's rendering: key by
+        # its trace, as the sampled engine's draws do.
+        index = instance.trace.page_index()
+        cache_key = (id(index), warmup)
+    cached = _PROFILES.get(cache_key)
+    if cached is not None:
+        profile = cached[1]
+    else:
         profile = profile_workload(instance, warmup_fraction=warmup)
         if len(_PROFILES) >= MEMO_LIMIT:
             _PROFILES.clear()
-        _PROFILES[cache_key] = profile
+        _PROFILES[cache_key] = (index, profile)
     return estimate_run(
         profile,
         machine,

@@ -67,7 +67,10 @@ class SingleTierPolicy(HybridMemoryPolicy):
         golden-equivalence tests).  The manager's ``record_request`` +
         ``serve_hit`` accounting is inlined for resident hits, with
         commutative event counters accumulated in locals and flushed
-        once per batch in a ``finally`` block.  With the default
+        once per batch in a ``finally`` block.  Every page lives in the
+        policy's one tier and none ever has a DRAM copy, so the tier's
+        hit counters (and, for NVM, the wear of write hits) are chosen
+        once per batch, not per hit.  With the default
         :class:`LRUReplacement` algorithm the queue's move-to-front is
         additionally inlined (its queue carries no position windows);
         other algorithms keep their ``hit`` call.  Subclasses that
@@ -82,7 +85,9 @@ class SingleTierPolicy(HybridMemoryPolicy):
         record_request = mm.record_request
         accounting = mm.accounting
         wear = mm.wear
-        page_writes = wear.page_writes
+        in_dram = self.location is PageLocation.DRAM
+        # Per-page wear of NVM write hits; DRAM takes none.
+        page_writes = None if in_dram else wear.page_writes
         entries = mm.page_table._entries
         evict_to_disk = mm.evict_to_disk
         fault_fill = mm.fault_fill
@@ -92,7 +97,6 @@ class SingleTierPolicy(HybridMemoryPolicy):
         alg_insert = algorithm.insert
         capacity = algorithm.capacity
         location = self.location
-        dram_location = PageLocation.DRAM
         # The stock LRU algorithm's hit is a plain move-to-front on a
         # window-less queue; inline it.  Anything else (CLOCK,
         # CLOCK-Pro, CAR, custom) keeps its hit() call.
@@ -108,14 +112,10 @@ class SingleTierPolicy(HybridMemoryPolicy):
         # request counters minus this are the kernel's clock debt.
         synced = 0
 
-        # Deferred (commutative) event counters, flushed after the loop.
-        read_requests = 0
-        write_requests = 0
-        dram_read_hits = 0
-        dram_write_hits = 0
-        nvm_read_hits = 0
-        nvm_write_hits = 0
-        request_writes = 0
+        # Deferred (commutative) hit counters, flushed after the loop;
+        # misses record their request through the manager.
+        read_hits = 0
+        write_hits = 0
 
         try:
             if queue is not None:
@@ -125,64 +125,41 @@ class SingleTierPolicy(HybridMemoryPolicy):
                     node = nodes_get(page)
                     if node is None:
                         if bus is not None:
-                            bus.clock += (
-                                read_requests + write_requests - synced
-                            )
-                            synced = read_requests + write_requests
+                            bus.clock += read_hits + write_hits - synced
+                            synced = read_hits + write_hits
                         record_request(is_write)
                         if len(nodes) >= capacity:
                             evict_to_disk(alg_evict())
                         fault_fill(page, location, is_write)
                         alg_insert(page, is_write)
                         continue
-                    # --- LRU touch, inlined (no windows) ---
-                    if node is not queue._head:
+                    # --- LRU touch, inlined (no windows); a non-head
+                    # node has a prev and the queue a head ---
+                    head = queue._head
+                    if node is not head:
                         prev = node.prev
                         nxt = node.next
-                        if prev is not None:
-                            prev.next = nxt
-                        else:
-                            queue._head = nxt
+                        prev.next = nxt
                         if nxt is not None:
                             nxt.prev = prev
                         else:
                             queue._tail = prev
                         node.prev = None
-                        head = queue._head
                         node.next = head
-                        if head is not None:
-                            head.prev = node
+                        head.prev = node
                         queue._head = node
-                        if queue._tail is None:
-                            queue._tail = node
                     # --- record_request + serve_hit, inlined ---
                     entry = node.payload
                     if entry is None:
                         node.payload = entry = entries[page]
-                    if (
-                        entry.location is dram_location
-                        or entry.copy_frame is not None
-                    ):
-                        if is_write:
-                            write_requests += 1
-                            dram_write_hits += 1
-                            if entry.copy_frame is not None:
-                                entry.copy_dirty = True
-                            entry.write_count += 1
-                            entry.dirty = True
-                        else:
-                            read_requests += 1
-                            dram_read_hits += 1
-                    elif is_write:
-                        write_requests += 1
-                        nvm_write_hits += 1
-                        request_writes += 1
-                        page_writes[page] = page_writes.get(page, 0) + 1
+                    if is_write:
+                        write_hits += 1
+                        if page_writes is not None:
+                            page_writes[page] = page_writes.get(page, 0) + 1
                         entry.write_count += 1
                         entry.dirty = True
                     else:
-                        read_requests += 1
-                        nvm_read_hits += 1
+                        read_hits += 1
                     entry.referenced = True
                     entry.access_count += 1
             else:
@@ -190,10 +167,8 @@ class SingleTierPolicy(HybridMemoryPolicy):
                 for page, is_write in zip(pages, writes):
                     if not alg_contains(page):
                         if bus is not None:
-                            bus.clock += (
-                                read_requests + write_requests - synced
-                            )
-                            synced = read_requests + write_requests
+                            bus.clock += read_hits + write_hits - synced
+                            synced = read_hits + write_hits
                         record_request(is_write)
                         if algorithm.full:
                             evict_to_disk(alg_evict())
@@ -203,42 +178,28 @@ class SingleTierPolicy(HybridMemoryPolicy):
                     alg_hit(page, is_write)
                     # --- record_request + serve_hit, inlined ---
                     entry = entries[page]
-                    if (
-                        entry.location is dram_location
-                        or entry.copy_frame is not None
-                    ):
-                        if is_write:
-                            write_requests += 1
-                            dram_write_hits += 1
-                            if entry.copy_frame is not None:
-                                entry.copy_dirty = True
-                            entry.write_count += 1
-                            entry.dirty = True
-                        else:
-                            read_requests += 1
-                            dram_read_hits += 1
-                    elif is_write:
-                        write_requests += 1
-                        nvm_write_hits += 1
-                        request_writes += 1
-                        page_writes[page] = page_writes.get(page, 0) + 1
+                    if is_write:
+                        write_hits += 1
+                        if page_writes is not None:
+                            page_writes[page] = page_writes.get(page, 0) + 1
                         entry.write_count += 1
                         entry.dirty = True
                     else:
-                        read_requests += 1
-                        nvm_read_hits += 1
+                        read_hits += 1
                     entry.referenced = True
                     entry.access_count += 1
         finally:
             if bus is not None:
-                bus.clock += read_requests + write_requests - synced
-            accounting.read_requests += read_requests
-            accounting.write_requests += write_requests
-            accounting.dram_read_hits += dram_read_hits
-            accounting.dram_write_hits += dram_write_hits
-            accounting.nvm_read_hits += nvm_read_hits
-            accounting.nvm_write_hits += nvm_write_hits
-            wear.request_writes += request_writes
+                bus.clock += read_hits + write_hits - synced
+            accounting.read_requests += read_hits
+            accounting.write_requests += write_hits
+            if in_dram:
+                accounting.dram_read_hits += read_hits
+                accounting.dram_write_hits += write_hits
+            else:
+                accounting.nvm_read_hits += read_hits
+                accounting.nvm_write_hits += write_hits
+                wear.request_writes += write_hits
 
     def validate(self) -> None:  # repro: cold
         super().validate()

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.migration import MigrationLRUPolicy
 from repro.memory.specs import HybridMemorySpec
+from repro.mmu.page import PageLocation
 from repro.mmu.simulator import HybridMemorySimulator
+from repro.obs import EventConfig
 from repro.policies.registry import available_policies, policy_factory
 from repro.workloads.mix import mix_workloads
 from repro.workloads.synthetic import zipf_workload
@@ -82,3 +85,95 @@ def test_batch_matches_with_warmup_split():
         )
         results.append(simulator.run(trace, warmup_fraction=0.3).to_dict())
     assert results[0] == results[1]
+
+
+# ----------------------------------------------------------------------
+# The proposed kernel's steady-state and fallback paths: promotion-heavy
+# thresholds, one-page windows, windows covering the queue, zero-size
+# windows and the adaptive policy's hooks, with and without events
+# ----------------------------------------------------------------------
+_ONE_PAGE = 1e-9  # any positive fraction rounds up to a one-page window
+
+_KERNEL_CASES = {
+    "threshold-0": ("proposed", {"read_threshold": 0, "write_threshold": 0}),
+    "threshold-1": ("proposed", {"read_threshold": 1, "write_threshold": 1}),
+    "window-1": ("proposed", {"read_window_fraction": _ONE_PAGE,
+                              "write_window_fraction": _ONE_PAGE,
+                              "read_threshold": 1, "write_threshold": 1}),
+    "read-window-1": ("proposed", {"read_window_fraction": _ONE_PAGE,
+                                   "read_threshold": 0}),
+    "window-covers-queue": ("proposed", {"read_window_fraction": 1.0,
+                                         "write_window_fraction": 1.0,
+                                         "read_threshold": 1,
+                                         "write_threshold": 1}),
+    "zero-windows": ("proposed", {"read_window_fraction": 0.0,
+                                  "write_window_fraction": 0.0,
+                                  "read_threshold": 0, "write_threshold": 1}),
+    "never-migrate": ("never-migrate", {}),
+    "adaptive": ("adaptive", {"read_threshold": 1, "write_threshold": 1}),
+}
+
+
+def _kernel_instance(name):
+    if name == "zipf":
+        trace = _zipf_trace()
+        return trace, _spec_for("proposed", _ZIPF_PAGES)
+    mix = _mix_instance()
+    return mix.trace, mix.spec
+
+
+def _kernel_run(trace, spec, case, batch, **run):
+    policy, overrides = _KERNEL_CASES[case]
+    simulator = HybridMemorySimulator(
+        spec, policy_factory(policy, overrides or None), sanitize=False,
+        batch=batch, events=run.pop("events", None),
+    )
+    return simulator.run(trace, **run)
+
+
+@pytest.mark.parametrize("instance", ["zipf", "mix"])
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_kernel_paths_match_per_request(instance, case):
+    trace, spec = _kernel_instance(instance)
+    batched = _kernel_run(trace, spec, case, batch=True)
+    looped = _kernel_run(trace, spec, case, batch=False)
+    assert batched.to_dict() == looped.to_dict()
+    if case != "never-migrate":
+        assert batched.accounting.migrations_to_dram > 0
+
+
+@pytest.mark.parametrize("instance", ["zipf", "mix"])
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_kernel_paths_match_with_events_and_warmup(instance, case):
+    trace, spec = _kernel_instance(instance)
+    runs = [
+        _kernel_run(trace, spec, case, batch=batch, warmup_fraction=0.3,
+                    events=EventConfig(buckets=8, trace=True))
+        for batch in (True, False)
+    ]
+    assert runs[0].events.trace_lines == runs[1].events.trace_lines
+    assert runs[0].to_dict() == runs[1].to_dict()
+
+
+class _FillNvmPolicy(MigrationLRUPolicy):
+    """Faults fill NVM instead of DRAM (evicting NVM's LRU when full)."""
+
+    def _page_fault(self, page: int, is_write: bool) -> None:
+        if not self.mm.has_free(PageLocation.NVM):
+            self.mm.evict_to_disk(self.nvm_lru.pop_lru().page)
+        self.mm.fault_fill(page, PageLocation.NVM, is_write)
+        self.nvm_lru.push_front(page)
+
+
+def test_subclass_overriding_a_kernel_method_replays_per_request():
+    # The kernel inlines the stock fault cascade; a subclass with its
+    # own _page_fault must not be bypassed.
+    trace = _zipf_trace()
+    spec = _spec_for("proposed", _ZIPF_PAGES)
+    results = [
+        HybridMemorySimulator(spec, _FillNvmPolicy, sanitize=False,
+                              batch=batch).run(trace).to_dict()
+        for batch in (True, False)
+    ]
+    assert results[0] == results[1]
+    assert results[1]["accounting"]["faults_filled_nvm"] > 0

@@ -49,17 +49,15 @@ def _event_lines(policy_class, batch: bool) -> list[str]:
 
 class TestR014:
     def test_seeded_bug_dropped_fold_in_migration_kernel(self):
-        """Golden mutant: delete the debt flush guarding the read-promotion
+        """Golden mutant: delete the debt flush guarding the promotion
         callout of the shipped migration kernel; the batched event
         stream must then diverge from the per-request reference."""
-        callout = (" " * 24) + "promote(page, trigger_is_write=False)\n"
+        callout = (" " * 20) + "promote(page, trigger_is_write=is_write)\n"
         fold = (
-            "                        if bus is not None:\n"
-            "                            bus.clock += (\n"
-            "                                read_requests + write_requests"
-            " - synced\n"
-            "                            )\n"
-            "                            synced = read_requests"
+            "                    if bus is not None:\n"
+            "                        bus.clock += read_requests"
+            " + write_requests - synced\n"
+            "                        synced = read_requests"
             " + write_requests\n"
         )
         pristine = load_variant("core/migration.py").MigrationLRUPolicy

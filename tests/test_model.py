@@ -560,6 +560,23 @@ class TestEnginePlumbing:
         assert len(estimator._PROFILES) == 1
         assert next(iter(estimator._PROFILES.values())) is profile
 
+    def test_profile_memo_keys_by_the_given_instance(self):
+        # A spec executed on an instance other than its own rendering
+        # profiles that instance, not the spec's own workload.
+        from repro.model import estimator
+
+        other = parsec_workload("canneal", request_scale=SCALE)
+        spec = RunSpec("dedup", engine="analytic", request_scale=SCALE,
+                       warmup_fraction=0.1)
+        own = spec.execute().accounting.to_dict()
+        on_other = spec.execute(instance=other).accounting.to_dict()
+        estimator._PROFILES.clear()
+        assert on_other == spec.execute(instance=other).accounting.to_dict()
+        assert own == spec.execute().accounting.to_dict()
+        requests = len(other.trace)
+        assert on_other["read_requests"] + on_other["write_requests"] \
+            == requests - round(0.1 * requests)
+
     def test_executor_and_cache_treat_analytic_as_ordinary(self, tmp_path):
         specs = [
             RunSpec.core("dedup", policy, request_scale=SCALE,

@@ -60,13 +60,14 @@ class TestSeededMutants:
         assert "dict literal" in findings[0].message
 
     def test_unhoisted_attribute_lookup_flagged_r017(self, tmp_path):
-        """Golden mutant: undo the ``serve_hit`` hoist in the DRAM branch."""
+        """Golden mutant: undo the ``record_request`` hoist in the
+        page-fault fallback."""
         target, original = _copy_kernel(tmp_path, "core/migration.py")
-        hoisted = "                        serve_hit(page, is_write)\n"
+        hoisted = "                        record_request(is_write)\n"
         assert hoisted in original
         mutated = original.replace(
             hoisted,
-            "                        self.mm.serve_hit(page, is_write)\n",
+            "                        self.mm.record_request(is_write)\n",
             1,
         )
         target.write_text(mutated, encoding="utf-8")
@@ -74,7 +75,7 @@ class TestSeededMutants:
         findings = _findings_at(
             lint_paths([tmp_path], select=PERF_SELECT), "R017")
         assert [f.line for f in findings] == [expected_line]
-        assert "`self.mm.serve_hit`" in findings[0].message
+        assert "`self.mm.record_request`" in findings[0].message
         assert any("hot seed" in note for note in findings[0].evidence)
 
     def test_np_append_in_filter_flagged_r018(self, tmp_path):
