@@ -17,8 +17,8 @@ The package is organised bottom-up:
 * :mod:`repro.core` — the paper's contribution: the two-LRU migration
   scheme with windowed hot-page counters (Algorithm 1), plus the
   adaptive-threshold extension.
-* :mod:`repro.policies` — rivals and baselines: CLOCK-DWF, CLOCK-Pro,
-  CAR, CLOCK, LRU, DRAM-only, NVM-only, and ablation variants.
+* :mod:`repro.policies` — rivals and baselines: CLOCK-DWF, CLOCK, LRU,
+  DRAM-only, NVM-only, and ablation variants.
 * :mod:`repro.experiments` — the evaluation harness regenerating every
   table and figure of Section V.
 
@@ -50,7 +50,6 @@ from repro.mmu import HybridMemorySimulator, MemoryManager, RunResult, simulate
 from repro.policies import (
     ClockDWFPolicy,
     available_policies,
-    make_policy,
     policy_factory,
 )
 from repro.trace import Trace, characterize
@@ -77,7 +76,6 @@ __all__ = [
     "compute_power",
     "dram_spec",
     "hdd_spec",
-    "make_policy",
     "parsec_workload",
     "pcm_spec",
     "policy_factory",

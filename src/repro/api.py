@@ -79,7 +79,6 @@ from repro.mmu import MemoryManager, PageLocation, RunResult, simulate
 from repro.policies import (
     HybridMemoryPolicy,
     available_policies,
-    make_policy,
     policy_factory,
     register_policy,
 )
@@ -92,7 +91,6 @@ from repro.experiments.executor import (
     ExecutorStats,
     ParallelExecutor,
     ResultCache,
-    execute_specs,
 )
 from repro.experiments.figures import FIGURE_BUILDERS, build_figure
 from repro.experiments.report import figure_summary, render_figure, render_table
@@ -189,7 +187,6 @@ __all__ = [
     # policies
     "HybridMemoryPolicy",
     "available_policies",
-    "make_policy",
     "policy_factory",
     "register_policy",
     # experiments
@@ -209,7 +206,6 @@ __all__ = [
     "build_figure",
     "claims_hold",
     "dram_ratio_sweep",
-    "execute_specs",
     "figure_summary",
     "render_figure",
     "render_table",

@@ -20,16 +20,8 @@ from repro.experiments.executor import (
     ResultCache,
     WorkerFailure,
     code_version,
-    execute_specs,
 )
 from repro.experiments.runspec import SPEC_TRANSFORMS, RunSpec
-from repro.experiments.export import (
-    figure_to_rows,
-    load_figure_json,
-    write_figure_csv,
-    write_figure_json,
-    write_sweep_csv,
-)
 from repro.experiments.report import figure_summary, render_figure, render_table
 from repro.experiments.results import (
     ARITH_MEAN_LABEL,
@@ -40,11 +32,7 @@ from repro.experiments.results import (
     arith_mean,
     geo_mean,
 )
-from repro.experiments.runner import (
-    CORE_POLICIES,
-    ExperimentRunner,
-    default_runner,
-)
+from repro.experiments.runner import CORE_POLICIES, ExperimentRunner
 from repro.experiments.sweep import (
     AdaptiveComparison,
     SweepPoint,
@@ -68,7 +56,6 @@ __all__ = [
     "WorkerFailure",
     "claims_hold",
     "code_version",
-    "execute_specs",
     "verify_claims",
     "AdaptiveComparison",
     "CORE_POLICIES",
@@ -83,7 +70,6 @@ __all__ = [
     "adaptive_comparison",
     "arith_mean",
     "build_figure",
-    "default_runner",
     "dram_ratio_sweep",
     "figure_1",
     "figure_2a",
@@ -93,9 +79,7 @@ __all__ = [
     "figure_4b",
     "figure_4c",
     "figure_summary",
-    "figure_to_rows",
     "geo_mean",
-    "load_figure_json",
     "render_figure",
     "render_table",
     "table_ii",
@@ -103,7 +87,4 @@ __all__ = [
     "table_iv",
     "threshold_sweep",
     "window_sweep",
-    "write_figure_csv",
-    "write_figure_json",
-    "write_sweep_csv",
 ]

@@ -445,12 +445,3 @@ class ParallelExecutor:
         context = multiprocessing.get_context(START_METHOD)
         with context.Pool(processes=min(self.jobs, len(tasks))) as pool:
             yield from pool.imap_unordered(_run_group, tasks)
-
-
-def execute_specs(
-    specs: Sequence[RunSpec],
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-) -> list[RunResult]:
-    """One-shot convenience wrapper around :class:`ParallelExecutor`."""
-    return ParallelExecutor(jobs=jobs, cache=cache).submit(specs)

@@ -153,15 +153,3 @@ class ExperimentRunner:
                  for name in names for policy in policies]
         self.submit(specs)  # one batch: cells fan out together
         return {name: self.runs_for(name, policies) for name in names}
-
-
-#: Process-wide default runner so benchmarks share one cache.
-_default_runner: ExperimentRunner | None = None
-
-
-def default_runner() -> ExperimentRunner:
-    """A shared runner instance (benchmarks reuse its cached runs)."""
-    global _default_runner
-    if _default_runner is None:
-        _default_runner = ExperimentRunner()
-    return _default_runner

@@ -6,7 +6,6 @@ from repro.memory.devices import (
     dram_spec,
     hdd_spec,
     pcm_spec,
-    ssd_spec,
     sttram_spec,
 )
 from repro.memory.specs import (
@@ -27,7 +26,6 @@ from repro.memory.endurance import (
     NVMWriteBreakdown,
     compute_nvm_writes,
     endurance_report,
-    relative_lifetime,
 )
 
 __all__ = [
@@ -49,10 +47,8 @@ __all__ = [
     "endurance_report",
     "hdd_spec",
     "pcm_spec",
-    "relative_lifetime",
     "StartGapLeveler",
     "WearSummary",
     "replay_writes",
-    "ssd_spec",
     "sttram_spec",
 ]

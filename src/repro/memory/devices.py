@@ -14,7 +14,6 @@ from typing import Any, Mapping
 from repro.units import Bytes, Joules, Seconds, Watts
 
 NANOSECOND = 1e-9
-MICROSECOND = 1e-6
 MILLISECOND = 1e-3
 NANOJOULE = 1e-9
 GIB = 1 << 30
@@ -183,8 +182,3 @@ def sttram_spec() -> MemoryDeviceSpec:
 def hdd_spec() -> DiskSpec:
     """Table II secondary storage: HDD with 5 ms response time."""
     return DiskSpec(name="HDD", access_latency=5 * MILLISECOND)
-
-
-def ssd_spec() -> DiskSpec:
-    """An SSD alternative (100 us) for swap-sensitivity ablations."""
-    return DiskSpec(name="SSD", access_latency=100 * MICROSECOND)

@@ -132,18 +132,3 @@ def endurance_report(
         wear_cv=wear_cv,
         estimated_lifetime_seconds=lifetime,
     )
-
-
-def relative_lifetime(
-    writes: NVMWriteBreakdown, baseline: NVMWriteBreakdown
-) -> float:
-    """Lifetime improvement factor vs a baseline (fewer writes = longer).
-
-    The paper's "prolong its lifetime up to 4x" claims are computed this
-    way: lifetime scales inversely with total NVM write volume.
-    """
-    if writes.total == 0:
-        return math.inf
-    if baseline.total == 0:
-        raise ZeroDivisionError("baseline NVM write count is zero")
-    return baseline.total / writes.total

@@ -10,10 +10,9 @@ single request.  Following the authors' analytical model
 
 ``dram-only*`` / ``nvm-only*``
     A single LRU list is exact under Mattson stack analysis: an access
-    hits iff its reuse distance is below the frame count.  The CLOCK /
-    CLOCK-Pro / CAR variants are approximated by their LRU envelope
-    (they are LRU approximations by design; the variant tests pin
-    their hit ratios within a few percent of LRU).
+    hits iff its reuse distance is below the frame count.  The CLOCK
+    variants are approximated by their LRU envelope (CLOCK is an LRU
+    approximation by design).
 
 ``proposed``
     Faults are counted as a global LRU over both tiers would take

@@ -177,5 +177,4 @@ def profile_workload(
         instance.trace,
         warmup_fraction=warmup,
         sample_cap=sample_cap,
-        name=instance.name,
     )

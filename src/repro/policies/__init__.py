@@ -7,15 +7,11 @@ module loading acyclic whichever package is imported first.
 """
 
 from repro.policies.base import HybridMemoryPolicy, PolicyFactory
-from repro.policies.car import CARReplacement
 from repro.policies.clock_dwf import ClockDWFPolicy, WriteHistoryClock
-from repro.policies.clock_pro import ClockProReplacement
 from repro.policies.registry import (
     available_policies,
-    make_policy,
     policy_factory,
     register_policy,
-    replacement_algorithm,
 )
 from repro.policies.replacement import (
     ClockReplacement,
@@ -54,11 +50,9 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "CARReplacement",
     "DramCachePolicy",
     "PDRAMPolicy",
     "ClockDWFPolicy",
-    "ClockProReplacement",
     "ClockReplacement",
     "DramOnlyPolicy",
     "EagerMigrationPolicy",
@@ -72,8 +66,6 @@ __all__ = [
     "StaticPartitionPolicy",
     "WriteHistoryClock",
     "available_policies",
-    "make_policy",
     "policy_factory",
     "register_policy",
-    "replacement_algorithm",
 ]

@@ -13,16 +13,11 @@ regardless of which package is imported first.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Mapping
 
-from repro.mmu.manager import MemoryManager
-from repro.policies.base import HybridMemoryPolicy, PolicyFactory
-
-if TYPE_CHECKING:
-    from repro.policies.replacement import ReplacementAlgorithm
+from repro.policies.base import PolicyFactory
 
 _FACTORIES: dict[str, PolicyFactory] = {}
-_ALGORITHMS: dict[str, Callable[[int], "ReplacementAlgorithm"]] = {}
 
 
 def _ensure_builtins() -> None:
@@ -30,12 +25,10 @@ def _ensure_builtins() -> None:
         return
     from repro.core.adaptive import AdaptiveMigrationPolicy
     from repro.core.migration import MigrationLRUPolicy
-    from repro.policies.car import CARReplacement
     from repro.policies.clock_dwf import ClockDWFPolicy
-    from repro.policies.clock_pro import ClockProReplacement
     from repro.policies.dram_cache import DramCachePolicy
     from repro.policies.pdram import PDRAMPolicy
-    from repro.policies.replacement import ClockReplacement, LRUReplacement
+    from repro.policies.replacement import ClockReplacement
     from repro.policies.single_tier import DramOnlyPolicy, NvmOnlyPolicy
     from repro.policies.variants import (
         EagerMigrationPolicy,
@@ -55,19 +48,7 @@ def _ensure_builtins() -> None:
         "never-migrate": NeverMigratePolicy,
         "static-partition": StaticPartitionPolicy,
         "dram-only-clock": lambda mm: DramOnlyPolicy(mm, ClockReplacement),
-        "dram-only-clock-pro":
-            lambda mm: DramOnlyPolicy(mm, ClockProReplacement),
-        "dram-only-car": lambda mm: DramOnlyPolicy(mm, CARReplacement),
         "nvm-only-clock": lambda mm: NvmOnlyPolicy(mm, ClockReplacement),
-        "nvm-only-clock-pro":
-            lambda mm: NvmOnlyPolicy(mm, ClockProReplacement),
-        "nvm-only-car": lambda mm: NvmOnlyPolicy(mm, CARReplacement),
-    })
-    _ALGORITHMS.update({
-        "lru": LRUReplacement,
-        "clock": ClockReplacement,
-        "clock-pro": ClockProReplacement,
-        "car": CARReplacement,
     })
 
 
@@ -140,25 +121,9 @@ def _configured_factory(
     raise ValueError(f"policy {name!r} does not accept overrides")
 
 
-def make_policy(name: str, mm: MemoryManager) -> HybridMemoryPolicy:
-    """Instantiate a registered policy over a memory manager."""
-    return policy_factory(name)(mm)
-
-
 def register_policy(name: str, factory: PolicyFactory) -> None:
     """Register a custom policy (examples/tests extending the suite)."""
     _ensure_builtins()
     if name in _FACTORIES:
         raise ValueError(f"policy {name!r} already registered")
     _FACTORIES[name] = factory
-
-
-def replacement_algorithm(name: str, capacity: int) -> "ReplacementAlgorithm":
-    """Instantiate a single-tier replacement algorithm by name."""
-    _ensure_builtins()
-    try:
-        factory = _ALGORITHMS[name]
-    except KeyError:
-        known = ", ".join(sorted(_ALGORITHMS))
-        raise KeyError(f"unknown algorithm {name!r}; known: {known}") from None
-    return factory(capacity)

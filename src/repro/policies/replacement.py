@@ -1,9 +1,7 @@
 """Single-tier page replacement algorithms.
 
 These manage *one* memory module (they are what the paper means by
-"conventional algorithms"): plain LRU, CLOCK (second chance), and the
-two stronger baselines the paper name-checks, CLOCK-Pro and CAR, live
-in their own modules but implement the same interface.
+"conventional algorithms"): plain LRU and CLOCK (second chance).
 
 The interface is deliberately minimal so the same implementations serve
 the DRAM-only and NVM-only baselines, the NVM side of ad-hoc hybrids,

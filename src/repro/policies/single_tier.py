@@ -3,8 +3,8 @@
 The paper normalises every figure against one of these: power against a
 DRAM-only memory of the same total capacity (Fig. 1/2a/4a), NVM writes
 against an NVM-only memory (Fig. 2c/4b).  Both run a conventional
-replacement algorithm (LRU by default, CLOCK/CLOCK-Pro/CAR pluggable)
-over a single module.  Under LRU the two are one run (same frames, no
+replacement algorithm (LRU by default, CLOCK pluggable) over a single
+module.  Under LRU the two are one run (same frames, no
 tier-dependent decision): :func:`dram_only_from_nvm_only` derives one
 from the other without a second replay.
 """
@@ -98,8 +98,8 @@ class SingleTierPolicy(HybridMemoryPolicy):
         capacity = algorithm.capacity
         location = self.location
         # The stock LRU algorithm's hit is a plain move-to-front on a
-        # window-less queue; inline it.  Anything else (CLOCK,
-        # CLOCK-Pro, CAR, custom) keeps its hit() call.
+        # window-less queue; inline it.  Anything else (CLOCK, custom)
+        # keeps its hit() call.
         queue = (
             algorithm._queue
             if type(algorithm) is LRUReplacement

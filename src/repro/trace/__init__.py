@@ -9,11 +9,7 @@ from repro.trace.record import (
 )
 from repro.trace.trace import CPUTrace, PageIndex, Trace, interleave
 from repro.trace.io import (
-    load_cpu_trace,
-    read_text_cpu_trace,
-    save_cpu_trace,
     save_trace,
-    write_text_cpu_trace,
     write_text_trace,
 )
 from repro.trace.mrc import MissRatioCurve, miss_ratio_curve, stack_distances
@@ -57,14 +53,10 @@ __all__ = [
     "scan_source",
     "characterize",
     "interleave",
-    "load_cpu_trace",
     "miss_ratio_curve",
     "page_popularity",
-    "read_text_cpu_trace",
-    "save_cpu_trace",
     "save_trace",
     "stack_distances",
     "transform",
-    "write_text_cpu_trace",
     "write_text_trace",
 ]

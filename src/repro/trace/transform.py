@@ -1,4 +1,4 @@
-"""Trace transformations: remapping, splitting, sampling, perturbation."""
+"""Trace transformations: remapping, slicing, splitting, perturbation."""
 
 from __future__ import annotations
 
@@ -35,26 +35,6 @@ def tail(trace: Trace, count: int) -> Trace:
     if count <= 0:
         return trace[:0]
     return trace[len(trace) - count:]
-
-
-def drop_warmup(trace: Trace, fraction: float) -> Trace:
-    """Drop the first ``fraction`` of requests (cold-start removal)."""
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must be in [0, 1)")
-    start = int(len(trace) * fraction)
-    return trace[start:]
-
-
-def subsample(trace: Trace, step: int) -> Trace:
-    """Keep every ``step``-th request (systematic sampling)."""
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    return Trace(
-        np.asarray(trace.pages)[::step],
-        np.asarray(trace.is_write)[::step],
-        name=trace.name,
-        page_size=trace.page_size,
-    )
 
 
 def flip_writes(trace: Trace, write_ratio: float,

@@ -6,7 +6,6 @@ from repro.workloads.base import (
     BurstPattern,
     LoopPattern,
     MixturePattern,
-    PageBiasedWrites,
     Phase,
     PhasedWorkload,
     ReadOnly,
@@ -21,7 +20,6 @@ from repro.workloads.parsec import (
     WORKLOAD_NAMES,
     ParsecProfile,
     WorkloadInstance,
-    all_workloads,
     parsec_workload,
     scaled_pages,
     scaled_requests,
@@ -36,7 +34,6 @@ __all__ = [
     "LoopPattern",
     "MixturePattern",
     "PROFILES",
-    "PageBiasedWrites",
     "ParsecProfile",
     "Phase",
     "PhasedWorkload",
@@ -49,7 +46,6 @@ __all__ = [
     "WorkloadMix",
     "WriteModel",
     "ZipfPattern",
-    "all_workloads",
     "mix_workloads",
     "parsec_workload",
     "scaled_pages",

@@ -301,48 +301,6 @@ class ReadOnly(BernoulliWrites):
         super().__init__(0.0)
 
 
-class PageBiasedWrites(WriteModel):
-    """Writes concentrate on a subset of pages.
-
-    A fraction ``write_page_fraction`` of pages (chosen by a stable
-    hash) absorbs most writes: requests to those pages are writes with
-    probability ``hot_write_ratio``, everything else with
-    ``cold_write_ratio``.  This separates *write-dominant pages* from a
-    global write ratio — the distinction CLOCK-DWF's DRAM clock relies
-    on.
-    """
-
-    def __init__(
-        self,
-        write_page_fraction: float,
-        hot_write_ratio: float,
-        cold_write_ratio: float = 0.0,
-    ) -> None:
-        for name, value in (
-            ("write_page_fraction", write_page_fraction),
-            ("hot_write_ratio", hot_write_ratio),
-            ("cold_write_ratio", cold_write_ratio),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        self.write_page_fraction = write_page_fraction
-        self.hot_write_ratio = hot_write_ratio
-        self.cold_write_ratio = cold_write_ratio
-
-    def _is_write_page(self, pages: np.ndarray) -> np.ndarray:
-        # Stable multiplicative hash -> uniform in [0, 1).
-        hashed = (pages * np.int64(2654435761)) % np.int64(1 << 31)
-        return hashed < int(self.write_page_fraction * (1 << 31))
-
-    def flags(self, rng: np.random.Generator,
-              pages: np.ndarray) -> np.ndarray:
-        draws = rng.random(pages.shape[0])
-        hot = self._is_write_page(pages)
-        return np.where(
-            hot, draws < self.hot_write_ratio, draws < self.cold_write_ratio
-        )
-
-
 class AlignedWrites(WriteModel):
     """Writes concentrated on an explicit set of pages.
 

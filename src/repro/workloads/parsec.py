@@ -132,7 +132,7 @@ MEMO_LIMIT = 16
 class WorkloadInstance:
     """A rendered workload: trace, sized machine, measurement settings."""
 
-    profile: ParsecProfile
+    profile: ParsecProfile | None
     trace: Trace
     spec: HybridMemorySpec
     warmup_fraction: float
@@ -140,7 +140,7 @@ class WorkloadInstance:
 
     @property
     def name(self) -> str:
-        return self.profile.name
+        return self.trace.name if self.profile is None else self.profile.name
 
 
 # ----------------------------------------------------------------------
@@ -462,21 +462,3 @@ def parsec_workload(
         warmup_fraction=warmup_fraction,
         inter_request_gap=profile.compute_gap_ns * 1e-9,
     )
-
-
-def all_workloads(
-    request_scale: float = DEFAULT_REQUEST_SCALE,
-    footprint_scale: float = DEFAULT_FOOTPRINT_SCALE,
-    seed: int = 2016,
-    names: tuple[str, ...] | None = None,
-) -> list[WorkloadInstance]:
-    """Render every (or a subset of) Table III workload."""
-    return [
-        parsec_workload(
-            name,
-            request_scale=request_scale,
-            footprint_scale=footprint_scale,
-            seed=seed,
-        )
-        for name in (names or WORKLOAD_NAMES)
-    ]

@@ -1,7 +1,7 @@
 """Generic synthetic workloads for tests, examples and ablations.
 
 These are not tied to any PARSEC profile; they exercise specific policy
-behaviours in isolation (pure locality, pure streaming, adversarial
+behaviours in isolation (pure locality, scan loops, adversarial
 ping-pong, threshold-length bursts).
 """
 
@@ -34,20 +34,6 @@ def zipf_workload(
         Phase(SequentialScan(pages), BernoulliWrites(write_ratio), pages),
         Phase(ZipfPattern(pages, alpha=alpha, permute_seed=seed),
               BernoulliWrites(write_ratio), requests),
-    ])
-    return workload.build(seed=seed)
-
-
-def streaming_workload(
-    pages: int = 2048,
-    requests: int = 50_000,
-    write_ratio: float = 0.1,
-    seed: int = 0,
-    name: str = "streaming",
-) -> Trace:
-    """Pure sequential streaming: worst case for any caching tier."""
-    workload = PhasedWorkload(name, [
-        Phase(SequentialScan(pages), BernoulliWrites(write_ratio), requests),
     ])
     return workload.build(seed=seed)
 
@@ -106,18 +92,5 @@ def pingpong_workload(
     workload = PhasedWorkload(name, [
         Phase(SequentialScan(pages), BernoulliWrites(write_ratio), pages),
         Phase(pattern, BernoulliWrites(write_ratio), requests),
-    ])
-    return workload.build(seed=seed)
-
-
-def adversarial_cold_workload(
-    pages: int = 1024,
-    requests: int = 30_000,
-    seed: int = 0,
-    name: str = "cold-churn",
-) -> Trace:
-    """Mostly-cold churn: high fault pressure, little reuse."""
-    workload = PhasedWorkload(name, [
-        Phase(UniformPattern(pages), BernoulliWrites(0.25), requests),
     ])
     return workload.build(seed=seed)

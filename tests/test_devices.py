@@ -10,7 +10,6 @@ from repro.memory.devices import (
     dram_spec,
     hdd_spec,
     pcm_spec,
-    ssd_spec,
     sttram_spec,
 )
 
@@ -89,6 +88,3 @@ class TestDeviceBehaviour:
             MemoryDeviceSpec("bad", -1, 1, 1, 1, 1)
         with pytest.raises(ValueError):
             MemoryDeviceSpec("bad", 1, 1, 1, 1, 1, endurance_cycles=0)
-
-    def test_ssd_is_faster_than_hdd(self):
-        assert ssd_spec().access_latency < hdd_spec().access_latency

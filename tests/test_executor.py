@@ -23,7 +23,6 @@ from repro.experiments.executor import (
     ResultCache,
     _tasks,
     code_version,
-    execute_specs,
 )
 from repro.experiments.runner import CORE_POLICIES, ExperimentRunner
 from repro.experiments.runspec import RunSpec
@@ -223,10 +222,6 @@ class TestParallelExecutor:
         assert len(first) == len(second) == 8
         for one, other in zip(first, second):
             assert one == other
-
-    def test_execute_specs_convenience(self):
-        (result,) = execute_specs([small()])
-        assert result.policy == "proposed"
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,8 @@ from repro.model.estimator import _fill_residency
 from repro.model.markov import occupancy, promotion_steps
 from repro.trace.mrc import recency_distances, stack_distances
 from repro.trace.trace import PageIndex, Trace
-from repro.workloads.parsec import parsec_workload
+from repro.workloads.parsec import WorkloadInstance, parsec_workload
+from repro.workloads.synthetic import zipf_workload
 
 SCALE = 0.0005  # fast grid scale shared with the validation suite
 
@@ -576,6 +577,38 @@ class TestEnginePlumbing:
         requests = len(other.trace)
         assert on_other["read_requests"] + on_other["write_requests"] \
             == requests - round(0.1 * requests)
+
+    def test_analytic_engine_accepts_an_instance_without_profile(self):
+        # The hand-built zipf instance of test_sampling carries no
+        # PARSEC profile; the simulate and sampled engines replay it,
+        # and the analytic engine must profile it too.
+        from repro.model import estimator
+
+        trace = zipf_workload(pages=400, requests=25_000, alpha=1.2,
+                              write_ratio=0.3, seed=7)
+        zipf = WorkloadInstance(
+            profile=None,
+            trace=trace,
+            spec=HybridMemorySpec.for_footprint(trace.unique_pages),
+            warmup_fraction=0.1,
+            inter_request_gap=10e-9,
+        )
+        estimator._PROFILES.clear()
+        result = RunSpec("dedup", engine="analytic").execute(instance=zipf)
+        counted = result.accounting.to_dict()
+        assert counted["read_requests"] + counted["write_requests"] \
+            == len(trace) - round(0.1 * len(trace))
+        assert result.workload == "dedup"
+        assert profile_workload(zipf).name == trace.name
+        # A pinned analytic cell does not move.
+        pinned = RunSpec("dedup", policy="proposed", seed=2016,
+                         engine="analytic",
+                         policy_overrides={"read_threshold": 1,
+                                           "write_threshold": 1}).execute()
+        canonical = json.dumps(json.loads(json.dumps(pinned.to_dict())),
+                               sort_keys=True, separators=(",", ":"))
+        assert _sha256(canonical.encode()) == \
+            _SWEEP_RESULT_DIGESTS["dedup", 1, 1]
 
     def test_executor_and_cache_treat_analytic_as_ordinary(self, tmp_path):
         specs = [

@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 
 from repro.memory.accounting import AccessAccounting, WearAccounting
 from repro.memory.devices import dram_spec, hdd_spec, pcm_spec
-from repro.memory.endurance import (
-    compute_nvm_writes,
-    endurance_report,
-    relative_lifetime,
-)
+from repro.memory.endurance import compute_nvm_writes, endurance_report
 from repro.memory.metrics import compute_performance
 from repro.memory.power import compute_power
 from repro.memory.specs import HybridMemorySpec
@@ -172,28 +168,6 @@ class TestEnduranceModel:
         assert writes.fault_fill_writes == 3 * 64
         assert writes.migration_writes == 15 * 64
         assert writes.total == 95 + 18 * 64
-
-    def test_relative_lifetime_is_inverse_writes(self):
-        acct, spec = _accounting(), _spec()
-        writes = compute_nvm_writes(acct, spec)
-        half = AccessAccounting(
-            read_requests=acct.read_requests,
-            write_requests=acct.write_requests,
-            dram_read_hits=acct.dram_read_hits,
-            dram_write_hits=acct.dram_write_hits,
-            nvm_read_hits=acct.nvm_read_hits,
-            nvm_write_hits=acct.nvm_write_hits,
-            read_faults=acct.read_faults,
-            write_faults=acct.write_faults,
-            faults_filled_dram=acct.faults_filled_dram,
-            faults_filled_nvm=acct.faults_filled_nvm,
-            migrations_to_dram=acct.migrations_to_dram,
-            migrations_to_nvm=0,
-            clean_evictions=acct.clean_evictions,
-            dirty_evictions=acct.dirty_evictions,
-        )
-        fewer = compute_nvm_writes(half, spec)
-        assert relative_lifetime(fewer, writes) > 1.0
 
     def test_endurance_report(self):
         wear = WearAccounting(page_factor=64)

@@ -9,9 +9,9 @@ from repro.memory.specs import HybridMemorySpec
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation
 from repro.mmu.simulator import simulate
+from repro.policies import registry
 from repro.policies.registry import (
     available_policies,
-    make_policy,
     policy_factory,
     register_policy,
 )
@@ -104,8 +104,27 @@ class TestVariants:
                                            spec.total_pages, abs=0.1)
 
 
+BUILTIN_POLICIES = [
+    "adaptive",
+    "clock-dwf",
+    "dram-cache",
+    "dram-only",
+    "dram-only-clock",
+    "eager-migration",
+    "never-migrate",
+    "nvm-only",
+    "nvm-only-clock",
+    "pdram",
+    "proposed",
+    "static-partition",
+]
+
+
 class TestRegistry:
-    def test_known_policies_instantiate(self, zipf_trace):
+    def test_known_policies_instantiate(self, zipf_trace, monkeypatch):
+        # A fresh table: examples run in-process register their own.
+        monkeypatch.setattr(registry, "_FACTORIES", {})
+        assert available_policies() == BUILTIN_POLICIES
         spec = _hybrid_spec(dram=8, nvm=24)
         for name in available_policies():
             if name.startswith("dram-only"):
@@ -114,7 +133,7 @@ class TestRegistry:
                 run_spec = spec.as_nvm_only()
             else:
                 run_spec = spec
-            policy = make_policy(name, MemoryManager(run_spec))
+            policy = policy_factory(name)(MemoryManager(run_spec))
             assert policy.name
             # drive a few accesses to prove it works end to end
             for page in range(6):
@@ -130,11 +149,10 @@ class TestRegistry:
                                               "write_threshold": 1})
         register_policy("custom-test-policy", factory)
         try:
-            policy = make_policy("custom-test-policy",
-                                 MemoryManager(_hybrid_spec()))
+            policy = policy_factory("custom-test-policy")(
+                MemoryManager(_hybrid_spec()))
             assert policy.read_threshold == 3
         finally:
-            from repro.policies import registry
             del registry._FACTORIES["custom-test-policy"]
 
     def test_double_registration_rejected(self):

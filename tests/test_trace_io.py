@@ -9,16 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.trace.io import (
-    load_cpu_trace,
-    read_text_cpu_trace,
-    save_cpu_trace,
-    save_trace,
-    write_text_cpu_trace,
-    write_text_trace,
-)
+from repro.trace.io import save_trace, write_text_trace
 from repro.trace.source import materialize, open_trace_source
-from repro.trace.trace import CPUTrace, Trace
+from repro.trace.trace import Trace
 
 
 def _read(path) -> Trace:
@@ -36,17 +29,6 @@ def trace() -> Trace:
     rng = np.random.default_rng(3)
     return Trace(rng.integers(0, 100, 500), rng.random(500) < 0.4,
                  name="roundtrip", page_size=8192)
-
-
-@pytest.fixture
-def cpu_trace() -> CPUTrace:
-    rng = np.random.default_rng(4)
-    return CPUTrace(
-        rng.integers(0, 1 << 20, 300),
-        rng.random(300) < 0.25,
-        rng.integers(0, 4, 300),
-        name="cpu-roundtrip",
-    )
 
 
 class TestTextFormat:
@@ -80,15 +62,6 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             _parse(tmp_path, "Q 5\n")
 
-    def test_cpu_round_trip(self, cpu_trace, tmp_path):
-        path = tmp_path / "cpu.trc"
-        write_text_cpu_trace(cpu_trace, path)
-        loaded = read_text_cpu_trace(path)
-        assert np.array_equal(loaded.addresses, cpu_trace.addresses)
-        assert np.array_equal(loaded.is_write, cpu_trace.is_write)
-        assert np.array_equal(loaded.cores, cpu_trace.cores)
-        assert loaded.name == cpu_trace.name
-
 
 class TestBinaryFormat:
     def test_round_trip(self, trace, tmp_path):
@@ -97,14 +70,6 @@ class TestBinaryFormat:
         loaded = _read(path)
         assert loaded == trace
         assert loaded.name == trace.name
-
-    def test_cpu_round_trip(self, cpu_trace, tmp_path):
-        path = tmp_path / "cpu.npz"
-        save_cpu_trace(cpu_trace, path)
-        loaded = load_cpu_trace(path)
-        assert np.array_equal(loaded.addresses, cpu_trace.addresses)
-        assert np.array_equal(loaded.cores, cpu_trace.cores)
-        assert loaded.name == cpu_trace.name
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.npz"

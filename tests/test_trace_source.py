@@ -16,11 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.experiments.executor import (
-    ParallelExecutor,
-    ResultCache,
-    execute_specs,
-)
+from repro.experiments.executor import ParallelExecutor, ResultCache
 from repro.experiments.runspec import RunSpec
 from repro.trace.io import save_trace, write_text_trace
 from repro.trace.source import (
@@ -237,7 +233,7 @@ class TestRunSpecSource:
     def test_pool_path_pickles_source_specs(self, stored):
         specs = [RunSpec.for_source(stored, policy=p)
                  for p in ("proposed", "clock-dwf")]
-        results = execute_specs(specs, jobs=2)
+        results = ParallelExecutor(jobs=2).submit(specs)
         assert len(results) == 2
         assert results[0].to_dict() != results[1].to_dict()
 

@@ -29,18 +29,6 @@ class TestSlicing:
         assert len(transform.tail(zipf_trace, 10)) == 10
         assert transform.tail(zipf_trace, 0).pages.shape[0] == 0
 
-    def test_drop_warmup(self, zipf_trace):
-        kept = transform.drop_warmup(zipf_trace, 0.25)
-        assert len(kept) == len(zipf_trace) - int(0.25 * len(zipf_trace))
-        with pytest.raises(ValueError):
-            transform.drop_warmup(zipf_trace, 1.0)
-
-    def test_subsample(self, zipf_trace):
-        sampled = transform.subsample(zipf_trace, 10)
-        assert len(sampled) == (len(zipf_trace) + 9) // 10
-        with pytest.raises(ValueError):
-            transform.subsample(zipf_trace, 0)
-
     def test_split_reassembles(self, zipf_trace):
         parts = transform.split(zipf_trace, 3)
         assert sum(len(part) for part in parts) == len(zipf_trace)

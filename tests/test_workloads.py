@@ -15,7 +15,6 @@ from repro.workloads.base import (
     ComponentPhase,
     LoopPattern,
     MixturePattern,
-    PageBiasedWrites,
     Phase,
     PhasedWorkload,
     ReadOnly,
@@ -138,15 +137,6 @@ class TestWriteModels:
     def test_read_only(self):
         pages = UniformPattern(10).generate(_rng(), 100)
         assert not ReadOnly().flags(_rng(), pages).any()
-
-    def test_page_biased_concentration(self):
-        pages = UniformPattern(1000).generate(_rng(8), 50_000)
-        model = PageBiasedWrites(0.1, hot_write_ratio=0.9,
-                                 cold_write_ratio=0.0)
-        flags = model.flags(_rng(8), pages)
-        written_pages = set(pages[flags].tolist())
-        # writes land on ~10% of pages only
-        assert len(written_pages) < 250
 
     def test_aligned_writes_target_members(self):
         member_pages = np.arange(5)
