@@ -16,10 +16,16 @@ only decides when pages cross between them:
   Counters reset when the page slips below its window, which filters
   out both slowly-cycling cold pages and one-shot bursts (the two
   failure modes Section IV calls out).
+
+The thresholds are read only by the ``counter > threshold``
+comparisons, so a run also records the box of threshold pairs that
+would have decided every comparison alike (:meth:`threshold_box`); the
+sampled engine reuses one replay for every pair inside it.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 from repro.core.config import DEFAULT_CONFIG, MigrationConfig
@@ -36,6 +42,18 @@ from repro.policies.base import HybridMemoryPolicy
 _KERNEL_METHODS = (
     "access", "_nvm_hit", "_promote", "_page_fault", "_demote_dram_victim",
 )
+
+#: A subclass overriding none of these keeps its thresholds fixed and
+#: reads them only in the counter comparisons, so its runs' threshold
+#: boxes hold (:meth:`MigrationLRUPolicy.decides_by_threshold_box`).
+_BOX_METHODS = _KERNEL_METHODS + (
+    "access_batch", "_on_promoted", "_on_demoted",
+)
+
+#: ``(read_lo, read_hi), (write_lo, write_hi)``: inclusive threshold
+#: ranges, ``math.inf`` for an open upper end.
+ThresholdBox = tuple[tuple[float, float], tuple[float, float]]
+
 
 class MigrationLRUPolicy(HybridMemoryPolicy):
     """The paper's proposed scheme: two LRUs plus windowed hot counters."""
@@ -62,6 +80,48 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
         )
         self.write_window = self.nvm_lru.add_window(
             config.write_window_pages(nvm_pages), on_exit=self._reset_write
+        )
+        # The run's threshold-box record (:meth:`threshold_box`): the
+        # largest counter each direction compared without promoting,
+        # and whether a hit of that direction ever promoted.
+        self.read_peak = 0
+        self.write_peak = 0
+        self.read_promoted = False
+        self.write_promoted = False
+
+    # ------------------------------------------------------------------
+    # Threshold boxes
+    # ------------------------------------------------------------------
+    @classmethod
+    def decides_by_threshold_box(cls) -> bool:
+        """Whether the class runs the stock Algorithm 1 machinery and
+        hooks (:data:`_BOX_METHODS`): its thresholds then stay put and
+        are read only by the counter comparisons, so its runs'
+        :meth:`threshold_box` holds.  The adaptive policy's hooks
+        retune the thresholds, so it does not qualify."""
+        return all(
+            getattr(cls, name) is getattr(MigrationLRUPolicy, name)
+            for name in _BOX_METHODS
+        )
+
+    def threshold_box(self) -> ThresholdBox:
+        """The read x write threshold pairs that decide as this run did.
+
+        A threshold is read only by ``counter > threshold``.  Every
+        read threshold from :attr:`read_peak` (the largest read
+        counter compared without promoting) up to the run's own — or
+        without limit if no read hit promoted — decides each read
+        comparison the same way, and likewise for writes.  So for a
+        class that :meth:`decides_by_threshold_box`, with no event bus
+        attached (the bus annotates promotions with the thresholds),
+        a replay at any pair inside the box is bit-identical to this
+        run and records the same box.
+        """
+        return (
+            (self.read_peak,
+             self.read_threshold if self.read_promoted else math.inf),
+            (self.write_peak,
+             self.write_threshold if self.write_promoted else math.inf),
         )
 
     # ------------------------------------------------------------------
@@ -111,6 +171,9 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
           of a non-head page can be ``None``.  The windowed counter
           ticks of Algorithm 1 lines 10-22 follow.  A queue that a
           window still covers goes through ``LRUQueue.touch``.
+        * **Threshold box**: a comparison that does not promote raises
+          its direction's peak, kept in a local; a promotion marks its
+          direction (:meth:`threshold_box`).
         * **Promotion**: in the steady state with DRAM full, no event
           bus and the default hooks, :meth:`_promote` is one inline
           block.  The victim (DRAM's LRU) takes the promoted page's
@@ -126,11 +189,12 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
           victims inside a window) fall back to the manager methods.
 
         Event counters that commute (request/hit/fault/eviction
-        accounting, wear totals, DMA transfer counts) accumulate in
-        locals and flush once per batch in a ``finally`` block, so the
-        totals are exact even if a request raises mid-batch.  Per-page
-        state (page-table entries, LRU nodes, the wear histogram) is
-        updated in place, exactly as the per-request path would.
+        accounting, wear totals, DMA transfer counts) and the threshold
+        box record accumulate in locals and flush once per batch in a
+        ``finally`` block, so they are exact even if a request raises
+        mid-batch.  Per-page state (page-table entries, LRU nodes, the
+        wear histogram) is updated in place, exactly as the per-request
+        path would.
 
         When an event bus is attached the kernel keeps its clock in
         step: before any call-out that can tick the clock or emit
@@ -235,6 +299,10 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
         # Requests already folded into the bus clock; the deferred
         # request counters minus this are the kernel's clock debt.
         synced = 0
+        read_peak = self.read_peak
+        write_peak = self.write_peak
+        read_promoted = self.read_promoted
+        write_promoted = self.write_promoted
 
         # Deferred (commutative) event counters, flushed after the loop.
         read_requests = 0
@@ -288,7 +356,6 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
                     else:
                         read_requests += 1
                         dram_read_hits += 1
-                    entry.referenced = True
                     entry.access_count += 1
                     continue
                 node = nvm_nodes_get(page)
@@ -445,7 +512,6 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
                         location=dram_location,
                         frame=frame,
                         dirty=is_write,
-                        referenced=True,
                         access_count=1,
                         write_count=1 if is_write else 0,
                     )
@@ -527,7 +593,6 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
                 entry = node.payload
                 if entry is None:
                     node.payload = entry = entries[page]
-                entry.referenced = True
                 entry.access_count += 1
                 if is_write:
                     write_requests += 1
@@ -540,7 +605,10 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
                         node.write_counter + 1 if was_inside else 1
                     )
                     if counter <= write_threshold:
+                        if counter > write_peak:
+                            write_peak = counter
                         continue
+                    write_promoted = True
                 else:
                     read_requests += 1
                     nvm_read_hits += 1
@@ -548,7 +616,10 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
                         node.read_counter + 1 if was_inside else 1
                     )
                     if counter <= read_threshold:
+                        if counter > read_peak:
+                            read_peak = counter
                         continue
+                    read_promoted = True
                 # --- Algorithm 1 lines 23-25: promote the page ---
                 if not (
                     inline_promotions
@@ -627,6 +698,10 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
         finally:
             if bus is not None:
                 bus.clock += read_requests + write_requests - synced
+            self.read_peak = read_peak
+            self.write_peak = write_peak
+            self.read_promoted = read_promoted
+            self.write_promoted = write_promoted
             accounting.read_requests += read_requests
             accounting.write_requests += write_requests
             accounting.dram_read_hits += dram_read_hits
@@ -675,7 +750,15 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
             threshold = self.read_threshold
         # Algorithm 1 lines 23-25: promote once the page proves hot.
         if counter > threshold:
+            if is_write:
+                self.write_promoted = True
+            else:
+                self.read_promoted = True
             self._promote(page, trigger_is_write=is_write)
+        elif is_write:
+            self.write_peak = max(self.write_peak, counter)
+        else:
+            self.read_peak = max(self.read_peak, counter)
 
     def _promote(self, page: int, trigger_is_write: bool) -> None:
         """Migrate a hot NVM page to DRAM, demoting DRAM's LRU victim."""

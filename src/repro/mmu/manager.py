@@ -126,7 +126,6 @@ class MemoryManager:
             location=destination,
             frame=frame,
             dirty=is_write,
-            referenced=True,
             access_count=1,
             write_count=1 if is_write else 0,
         )

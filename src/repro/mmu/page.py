@@ -32,8 +32,8 @@ class PageTableEntry:
 
     Mirrors the relevant bits of a real PTE: presence (implied by
     ``location``), the backing frame, the dirty bit (drives write-back
-    on eviction) and an accessed bit plus counters usable by clock-style
-    policies.
+    on eviction) and the access and write counters.  Clock-style
+    policies keep their reference bits on their own clock nodes.
 
     For DRAM-as-cache architectures (the caching school of paper
     Section III) an NVM-resident page may additionally hold a DRAM
@@ -45,7 +45,6 @@ class PageTableEntry:
     location: PageLocation
     frame: int
     dirty: bool = False
-    referenced: bool = False
     access_count: int = 0
     write_count: int = 0
     copy_frame: int | None = None
@@ -56,7 +55,6 @@ class PageTableEntry:
         return self.copy_frame is not None
 
     def mark_access(self, is_write: bool) -> None:
-        self.referenced = True
         self.access_count += 1
         if is_write:
             self.write_count += 1

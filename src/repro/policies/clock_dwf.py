@@ -248,7 +248,6 @@ class ClockDWFPolicy(HybridMemoryPolicy):
                     else:
                         read_requests += 1
                         dram_read_hits += 1
-                    entry.referenced = True
                     entry.access_count += 1
                 elif location is nvm_location:
                     if is_write:
@@ -277,7 +276,6 @@ class ClockDWFPolicy(HybridMemoryPolicy):
                         else:
                             read_requests += 1
                             nvm_read_hits += 1
-                            entry.referenced = True
                             entry.access_count += 1
                 else:
                     if bus is not None:

@@ -160,7 +160,6 @@ class SingleTierPolicy(HybridMemoryPolicy):
                         entry.dirty = True
                     else:
                         read_hits += 1
-                    entry.referenced = True
                     entry.access_count += 1
             else:
                 alg_contains = algorithm.__contains__
@@ -186,7 +185,6 @@ class SingleTierPolicy(HybridMemoryPolicy):
                         entry.dirty = True
                     else:
                         read_hits += 1
-                    entry.referenced = True
                     entry.access_count += 1
         finally:
             if bus is not None:

@@ -37,6 +37,17 @@ than two Poisson standard errors under ``min_faults``, is skipped
 unreplayed.  At rate 1 the engine runs one exact replay with no
 replicates.
 
+Algorithm 1 reads its thresholds only in ``counter > threshold``, so a
+replay of the stock proposed policy certifies a box of read x write
+threshold pairs that decide every comparison alike
+(:meth:`~repro.core.migration.MigrationLRUPolicy.threshold_box`).  A
+bounded process-wide memo (:data:`_REPLAYS`) keeps such replays per
+subset, scaled machine, warm-up, gap and threshold-free policy
+config, and a later spec whose thresholds fall inside a stored box
+takes that replay instead of running its own: a threshold sweep
+replays each distinct decision path once.  Sanitized processes, the
+adaptive policy and every other policy always replay.
+
 Uncertainty comes from stratified page-group replicates: consecutive
 sampled ranks rotate through ``groups`` disjoint sub-samples,
 each simulated at rate ``K * groups``; the spread of their scaled
@@ -58,9 +69,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.migration import MigrationLRUPolicy, ThresholdBox
 from repro.memory.accounting import AccessAccounting, WearAccounting
 from repro.memory.specs import HybridMemorySpec
-from repro.mmu.simulator import PolicyFactory, RunResult, simulate
+from repro.mmu.manager import MemoryManager
+from repro.mmu.simulator import (
+    PolicyFactory,
+    RunResult,
+    sanitize_default,
+    simulate,
+)
 from repro.model.estimator import lru_capacity
 from repro.sampling.config import SamplingConfig
 from repro.sampling.summary import MetricInterval, SamplingSummary
@@ -276,6 +294,104 @@ def _warm(mask: np.ndarray, boundary: int) -> int:
     return int(np.count_nonzero(mask[:boundary])) if boundary else 0
 
 
+#: Replays of threshold-box policies (:meth:`MigrationLRUPolicy.
+#: threshold_box`), keyed by (subset index identity, subset name,
+#: scaled machine, warm-up requests, gap, policy class, config without
+#: thresholds): the subset's index (held so the ``id()`` stays valid)
+#: and each stored raw result with the box it certifies.  Cleared
+#: whole before it would outgrow :data:`REPLAY_LIMIT` results or
+#: :data:`REPLAY_PAGE_LIMIT` per-page wear entries.
+_REPLAYS: dict[tuple, tuple[object, list[tuple[ThresholdBox, RunResult]]]] = {}
+
+#: Raw results :data:`_REPLAYS` holds at most: every distinct outcome
+#: of the 7 x 3 threshold sweep over three workloads (54) fits.
+REPLAY_LIMIT = 4 * MEMO_LIMIT
+
+#: Per-page wear-histogram entries (~100 bytes each, the bulk of a
+#: stored result) :data:`_REPLAYS` holds at most.
+REPLAY_PAGE_LIMIT = 1 << 18
+
+#: What a box-reusable spec replays under: (policy class, config
+#: without thresholds) and its (read, write) thresholds.
+_BoxPolicy = tuple[tuple, tuple[float, float]]
+
+
+def _box_policy(
+    factory: PolicyFactory, machine: HybridMemorySpec
+) -> _BoxPolicy | None:
+    """The reuse identity of the policy ``factory`` builds, or ``None``
+    when its replays must all run: a class that does not
+    :meth:`~MigrationLRUPolicy.decides_by_threshold_box`, or a
+    sanitized process (the sanitizer checks every replay, as the
+    executor's ``baseline_twin`` derivation does).  The engine never
+    attaches an event bus."""
+    if sanitize_default():
+        return None
+    policy = factory(MemoryManager(machine))
+    if not (isinstance(policy, MigrationLRUPolicy)
+            and policy.decides_by_threshold_box()):
+        return None
+    config = replace(policy.config, read_threshold=0, write_threshold=0)
+    return ((type(policy), config),
+            (policy.read_threshold, policy.write_threshold))
+
+
+def _own_counters(result: RunResult) -> RunResult:
+    """``result`` with its own copies of the mutable counters, so a
+    stored replay never shares them with a handed-out one (at rate 1
+    :func:`scale_accounting` passes them through unchanged)."""
+    wear = result.wear
+    return replace(
+        result,
+        accounting=replace(result.accounting),
+        wear=replace(wear, page_writes=dict(wear.page_writes)),
+    )
+
+
+def _replay(
+    subset: Trace,
+    warm: int,
+    machine: HybridMemorySpec,
+    factory: PolicyFactory,
+    gap: float,
+    box_policy: _BoxPolicy | None,
+) -> RunResult:
+    """``simulate`` the subset, or reuse a stored replay whose threshold
+    box holds ``box_policy``'s thresholds: every comparison decides
+    alike there, so the replay would be bit-identical."""
+    if box_policy is None:
+        return simulate(subset, machine, factory, inter_request_gap=gap,
+                        warmup_requests=warm)
+    policy_key, thresholds = box_policy
+    index = subset.page_index()
+    key = (id(index), subset.name, machine, warm, gap, policy_key)
+    entry = _REPLAYS.get(key)
+    if entry is not None:
+        for box, stored in entry[1]:
+            if all(lo <= threshold <= hi
+                   for (lo, hi), threshold in zip(box, thresholds)):
+                return _own_counters(stored)
+    policies: list[MigrationLRUPolicy] = []
+
+    def build(mm: MemoryManager) -> MigrationLRUPolicy:
+        policy = factory(mm)
+        policies.append(policy)
+        return policy
+
+    raw = simulate(subset, machine, build, inter_request_gap=gap,
+                   warmup_requests=warm)
+    held = [result for _, stored in _REPLAYS.values() for _, result in stored]
+    pages = len(raw.wear.page_writes)
+    if len(held) >= REPLAY_LIMIT or pages + sum(
+            len(result.wear.page_writes) for result in held
+    ) > REPLAY_PAGE_LIMIT:
+        _REPLAYS.clear()
+    if pages <= REPLAY_PAGE_LIMIT:
+        _REPLAYS.setdefault(key, (index, []))[1].append(
+            (policies[0].threshold_box(), _own_counters(raw)))
+    return raw
+
+
 def _predicted_faults(subset: Trace, warm: int, frames: int) -> int:
     """Faults a ``frames``-frame LRU memory takes on ``subset`` after
     its first ``warm`` requests: those whose stack distance (the
@@ -295,13 +411,15 @@ def _replay_subset(
     measured_writes: int,
     factory: PolicyFactory,
     gap: float,
+    box_policy: _BoxPolicy | None = None,
 ) -> tuple[RunResult, RunResult, int, float] | None:
     """Simulate ``subset`` (its first ``warm`` requests warming up) at
     a proportionally scaled frame budget, scale its counters up and
     score them against the full ``machine``; ``None`` when the subset
     has no measured span (degenerate replicate).  Returns the subset's
     own result, the scaled result, the measured sampled request count
-    and the request multiplier.
+    and the request multiplier.  ``box_policy`` lets the replay come
+    from :data:`_REPLAYS` (:func:`_replay`).
 
     The frame budget scales by the *measured* page ratio (the
     SHARDS-adj correction): a draw that lands more pages than
@@ -312,13 +430,8 @@ def _replay_subset(
     measured_sampled = len(subset) - warm
     if not subset_pages or measured_sampled <= 0:
         return None
-    raw = simulate(
-        subset,
-        machine.sampled(total_pages / subset_pages),
-        factory,
-        inter_request_gap=gap,
-        warmup_requests=warm,
-    )
+    raw = _replay(subset, warm, machine.sampled(total_pages / subset_pages),
+                  factory, gap, box_policy)
     multiplier = (measured_reads + measured_writes) / measured_sampled
     accounting, wear = scale_accounting(
         raw.accounting, raw.wear,
@@ -417,6 +530,7 @@ def sample_spec(
     measured_writes = int(np.count_nonzero(trace.is_write[boundary:]))
     measured_reads = len(trace) - boundary - measured_writes
     policy_factory = spec.build_policy_factory()
+    box_policy = _box_policy(policy_factory, machine)
 
     # SHARDS-style rate adaptation on the rare events.  Faults are the
     # count whose ~1/sqrt(n) noise dominates AMAT error, so a replay
@@ -444,6 +558,7 @@ def sample_spec(
         replay = _replay_subset(
             subset, warm, sampled_pages, machine, total_pages,
             measured_reads, measured_writes, policy_factory, gap,
+            box_policy,
         )
         if replay is None:  # only at rate 1: sparse draws were checked
             raise SamplingError(

@@ -1,4 +1,4 @@
-"""Trace transformations: remapping, slicing, splitting, perturbation."""
+"""Trace transformations: remapping and perturbation."""
 
 from __future__ import annotations
 
@@ -23,18 +23,6 @@ def densify(trace: Trace) -> Trace:
     )
     return Trace(remapped, trace.is_write, name=trace.name,
                  page_size=trace.page_size)
-
-
-def head(trace: Trace, count: int) -> Trace:
-    """First ``count`` requests."""
-    return trace[:count]
-
-
-def tail(trace: Trace, count: int) -> Trace:
-    """Last ``count`` requests."""
-    if count <= 0:
-        return trace[:0]
-    return trace[len(trace) - count:]
 
 
 def flip_writes(trace: Trace, write_ratio: float,
@@ -73,10 +61,3 @@ def remap_random(trace: Trace, seed: SeedLike = 0) -> Trace:
     return Trace(remapped, trace.is_write, name=trace.name,
                  page_size=trace.page_size)
 
-
-def split(trace: Trace, parts: int) -> list[Trace]:
-    """Split into ``parts`` contiguous chunks (last chunk may be short)."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    chunk = (len(trace) + parts - 1) // parts
-    return [trace[start:start + chunk] for start in range(0, len(trace), chunk)]

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 import pytest
 
 from repro.analysis.sanitizer import SANITIZE_ENV
 from repro.memory.devices import dram_spec, hdd_spec, pcm_spec
 from repro.memory.specs import HybridMemorySpec
+from repro.policies import registry
 from repro.trace.trace import Trace
 
 
@@ -20,6 +23,18 @@ def _sanitize_simulations(monkeypatch: pytest.MonkeyPatch) -> None:
     so each test doubles as an invariant check.
     """
     monkeypatch.setenv(SANITIZE_ENV, "1")
+
+
+@pytest.fixture(autouse=True)
+def _restore_policy_registry() -> Iterator[None]:
+    """Restore the policy registry's table after every test, so a
+    policy one test registers (an example run in-process registers
+    ``write-twice``) is gone in the next."""
+    table = registry._FACTORIES
+    saved = dict(table)
+    yield
+    table.clear()
+    table.update(saved)
 
 
 @pytest.fixture

@@ -513,7 +513,7 @@ class TestR012:
             def access_batch(self, pages: list[int],
                              writes: list[bool]) -> None:
                 for entry in self.mm.page_table.entries():
-                    entry.referenced = False
+                    entry.copy_dirty = False
                 access = self.access
                 for page, is_write in zip(pages, writes):
                     access(page, is_write)

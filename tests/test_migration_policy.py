@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.adaptive import AdaptiveMigrationPolicy
 from repro.core.config import MigrationConfig
 from repro.core.migration import MigrationLRUPolicy
 from repro.memory.devices import dram_spec, hdd_spec, pcm_spec
 from repro.memory.specs import HybridMemorySpec
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation
+from repro.mmu.simulator import HybridMemorySimulator
+from repro.policies.variants import EagerMigrationPolicy
+from repro.trace.trace import Trace
 
 
 def _policy(dram=2, nvm=6, **config_kwargs):
@@ -214,3 +222,79 @@ class TestHitRatioPreservation:
                     global_lru.evict()
                 global_lru.insert(page)
         assert mm.accounting.hits == pytest.approx(lru_hits, rel=0.01)
+
+
+# ----------------------------------------------------------------------
+# Threshold boxes: every pair inside one replays the run bit for bit
+# ----------------------------------------------------------------------
+def _box_run(trace, machine, config, warmup):
+    """A run's result dict and threshold box, the same through the
+    batched kernel and the per-request path (unsanitized: the
+    sanitizer's wrapper hides the policy's own record)."""
+    runs = []
+    for batch in (True, False):
+        simulator = HybridMemorySimulator(
+            machine, lambda mm: MigrationLRUPolicy(mm, config),
+            sanitize=False, batch=batch)
+        result = simulator.run(trace, warmup_fraction=warmup)
+        runs.append((result.to_dict(), simulator.policy.threshold_box()))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+_WINDOWS = st.sampled_from((0.0, 0.2, 0.5, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    requests=st.lists(st.tuples(st.integers(0, 11), st.booleans()),
+                      min_size=1, max_size=300),
+    dram=st.integers(1, 4),
+    nvm=st.integers(1, 10),
+    windows=st.tuples(_WINDOWS, _WINDOWS),
+    warmup=st.sampled_from((0.0, 0.3, 0.7)),
+    thresholds=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    data=st.data(),
+)
+def test_a_pair_inside_the_box_replays_identically(
+        requests, dram, nvm, windows, warmup, thresholds, data):
+    trace = Trace.from_pairs(requests, name="box")
+    machine = HybridMemorySpec(
+        dram=dram_spec(), nvm=pcm_spec(), disk=hdd_spec(),
+        dram_pages=dram, nvm_pages=nvm,
+    )
+    config = MigrationConfig(*windows, *thresholds)
+    payload, box = _box_run(trace, machine, config, warmup)
+    for (lo, hi), own in zip(box, thresholds):
+        assert lo <= own <= hi
+    # An open upper end is drawn up to a few steps past the peak.
+    read, write = (
+        data.draw(st.integers(int(lo), int(min(hi, lo + 8))))
+        for lo, hi in box
+    )
+    other = MigrationConfig(*windows, read, write)
+    assert _box_run(trace, machine, other, warmup) == (payload, box)
+
+
+class TestThresholdBox:
+    def test_a_run_without_nvm_hits_has_an_open_box(self):
+        policy, _ = _policy(dram=4)
+        for page in (1, 2, 1, 2):
+            policy.access(page, False)
+        assert policy.threshold_box() == ((0, math.inf), (0, math.inf))
+
+    def test_a_promotion_closes_its_direction(self):
+        # Read threshold 2: page 1's read counter is compared at 1 and
+        # 2 without promoting, then promotes at 3.
+        policy, _ = _policy(dram=1, nvm=6)
+        policy.access(1, False)          # fault into DRAM
+        policy.access(2, False)          # demotes 1 to NVM
+        for _ in range(3):
+            policy.access(1, False)
+        assert policy.threshold_box() == ((2, 2), (0, math.inf))
+
+    def test_only_the_stock_machinery_qualifies(self):
+        assert MigrationLRUPolicy.decides_by_threshold_box()
+        assert EagerMigrationPolicy.decides_by_threshold_box()
+        # Its hooks retune the thresholds mid-run.
+        assert not AdaptiveMigrationPolicy.decides_by_threshold_box()

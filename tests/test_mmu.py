@@ -86,7 +86,6 @@ class TestPageTable:
         entry = PageTableEntry(1, PageLocation.DRAM, 0)
         entry.mark_access(is_write=False)
         assert not entry.dirty
-        assert entry.referenced
         entry.mark_access(is_write=True)
         assert entry.dirty
         assert entry.access_count == 2

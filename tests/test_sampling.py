@@ -19,6 +19,9 @@ The engine's load-bearing promises, pinned:
   samples toward exact replay instead of reporting noise, and the rate
   is chosen from predicted LRU faults before the one replay a spec
   runs.
+* **Box reuse** — a stored replay serves exactly the threshold pairs
+  inside its box, only for the stock proposed policy in an unsanitized
+  process, from a bounded memo, and never shares mutable counters.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.analysis.sanitizer import SANITIZE_ENV
 from repro.experiments.executor import ParallelExecutor, ResultCache
 from repro.experiments.runspec import RunSpec
 from repro.memory.specs import HybridMemorySpec
@@ -325,6 +329,7 @@ def _counting_simulate(monkeypatch) -> list[tuple[int, int]]:
     and the (unscaled) faults it saw."""
     replays: list[tuple[int, int]] = []
     real = engine_module.simulate
+    monkeypatch.setattr(engine_module, "_REPLAYS", {})
 
     def counting(trace, *args, **kwargs):
         result = real(trace, *args, **kwargs)
@@ -476,3 +481,148 @@ class TestRateChoice:
         assert summary.effective_rate == 4
         assert summary.sampled_requests == 2048
         assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# Box reuse: one replay serves every threshold pair that decides alike
+# ----------------------------------------------------------------------
+@pytest.fixture
+def unsanitized(monkeypatch):
+    """An unsanitized process (sanitized runs never reuse) with an
+    empty replay memo."""
+    monkeypatch.setenv(SANITIZE_ENV, "0")
+    monkeypatch.setattr(engine_module, "_REPLAYS", {})
+
+
+def _threshold_spec(read, write, policy="proposed", rate=1) -> RunSpec:
+    """One replay at ``rate``: no floor moves a sparse draw."""
+    return RunSpec("zipf", policy=policy, engine="sampled",
+                   sampling=SamplingConfig(rate=rate, min_pages=0,
+                                           min_faults=0, groups=1),
+                   policy_overrides={"read_threshold": read,
+                                     "write_threshold": write})
+
+
+def _stored() -> list:
+    """The memo's (box, raw result) pairs."""
+    return [entry for _, held in engine_module._REPLAYS.values()
+            for entry in held]
+
+
+def _stored_boxes() -> list:
+    return [box for box, _ in _stored()]
+
+
+def _fresh_replay(spec: RunSpec, instance) -> dict:
+    """``spec``'s result from an empty memo (the memo is put back)."""
+    saved = engine_module._REPLAYS
+    engine_module._REPLAYS = {}
+    try:
+        return spec.execute(instance=instance).to_dict()
+    finally:
+        engine_module._REPLAYS = saved
+
+
+@pytest.mark.usefixtures("unsanitized")
+class TestBoxReuse:
+    @pytest.mark.parametrize("rate, peak", [(1, 13), (16, 8)])
+    def test_a_pair_inside_the_box_reuses_the_replay(
+            self, zipf_instance, monkeypatch, rate, peak):
+        calls = _counting_simulate(monkeypatch)
+        _threshold_spec(64, 2, rate=rate).execute(instance=zipf_instance)
+        [((read_lo, read_hi), _)] = _stored_boxes()
+        # No read hit promotes at 64: the box's read range is open.
+        assert (read_lo, read_hi) == (peak, float("inf"))
+        reused = {}
+        for read in (read_lo, 10 ** 6):
+            inside = _threshold_spec(read, 2, rate=rate)
+            reused[inside] = inside.execute(instance=zipf_instance).to_dict()
+        assert len(calls) == 1
+        for spec, result in reused.items():
+            assert result == _fresh_replay(spec, zipf_instance)
+
+    @pytest.mark.parametrize("read, write", [(64, 2), (2, 64), (16, 8)])
+    def test_a_pair_one_step_outside_the_box_replays(
+            self, zipf_instance, monkeypatch, read, write):
+        calls = _counting_simulate(monkeypatch)
+        _threshold_spec(read, write).execute(instance=zipf_instance)
+        [box] = _stored_boxes()
+        original = dict(engine_module._REPLAYS)
+        outside = []
+        for axis, (lo, hi) in enumerate(box):
+            for step in ([lo - 1] if lo else []) + (
+                    [hi + 1] if hi != float("inf") else []):
+                pair = [read, write]
+                pair[axis] = step
+                outside.append(pair)
+        assert len(outside) >= 2
+        replayed = {}
+        for pair in outside:
+            # Only the first box is stored, whatever the earlier
+            # steps added.
+            monkeypatch.setattr(engine_module, "_REPLAYS", dict(original))
+            spec = _threshold_spec(*pair)
+            replayed[spec] = spec.execute(instance=zipf_instance).to_dict()
+        assert len(calls) == 1 + len(outside)
+        for spec, result in replayed.items():
+            assert result == _fresh_replay(spec, zipf_instance)
+
+    def test_the_adaptive_policy_never_reuses(
+            self, zipf_instance, monkeypatch):
+        # Its hooks move the thresholds during the run.
+        calls = _counting_simulate(monkeypatch)
+        spec = _threshold_spec(16, 8, policy="adaptive")
+        first = spec.execute(instance=zipf_instance).to_dict()
+        assert spec.execute(instance=zipf_instance).to_dict() == first
+        assert len(calls) == 2
+        assert not engine_module._REPLAYS
+
+    def test_a_sanitized_run_always_replays(
+            self, zipf_instance, monkeypatch):
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        calls = _counting_simulate(monkeypatch)
+        spec = _threshold_spec(64, 64)
+        spec.execute(instance=zipf_instance)
+        spec.execute(instance=zipf_instance)
+        assert len(calls) == 2
+        assert not engine_module._REPLAYS
+
+    def test_the_memo_stays_bounded(self, zipf_instance, monkeypatch):
+        monkeypatch.setattr(engine_module, "REPLAY_LIMIT", 3)
+        calls = _counting_simulate(monkeypatch)
+        # Each read threshold promotes, so each box is its own.
+        for read in range(1, 8):
+            _threshold_spec(read, 64).execute(instance=zipf_instance)
+            assert 1 <= len(_stored_boxes()) <= 3
+        assert len(calls) == 7
+
+    def test_the_memo_stays_within_its_page_budget(
+            self, zipf_instance, monkeypatch):
+        _threshold_spec(1, 64).execute(instance=zipf_instance)
+        [(_, first)] = _stored()
+        budget = len(first.wear.page_writes) * 5 // 2
+        monkeypatch.setattr(engine_module, "REPLAY_PAGE_LIMIT", budget)
+        for read in range(2, 8):
+            _threshold_spec(read, 64).execute(instance=zipf_instance)
+            held = sum(len(result.wear.page_writes) for _, result in _stored())
+            assert 0 < held <= budget
+        # A replay over the whole budget is not kept at all.
+        monkeypatch.setattr(engine_module, "REPLAY_PAGE_LIMIT", 0)
+        _threshold_spec(8, 64).execute(instance=zipf_instance)
+        assert not _stored()
+
+    def test_equivalent_specs_share_no_mutable_counters(
+            self, zipf_instance):
+        spec = _threshold_spec(64, 64)
+        first = spec.execute(instance=zipf_instance)
+        second = spec.execute(instance=zipf_instance)
+        [(_, stored)] = _stored()
+        objects = [(result.accounting, result.wear, result.wear.page_writes)
+                   for result in (first, second, stored)]
+        for family in zip(*objects):
+            assert len({id(item) for item in family}) == 3
+        expected = first.to_dict()
+        first.accounting.read_requests += 1
+        first.wear.page_writes[-1] = 1
+        assert second.to_dict() == expected
+        assert spec.execute(instance=zipf_instance).to_dict() == expected

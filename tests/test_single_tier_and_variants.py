@@ -9,7 +9,6 @@ from repro.memory.specs import HybridMemorySpec
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation
 from repro.mmu.simulator import simulate
-from repro.policies import registry
 from repro.policies.registry import (
     available_policies,
     policy_factory,
@@ -121,9 +120,7 @@ BUILTIN_POLICIES = [
 
 
 class TestRegistry:
-    def test_known_policies_instantiate(self, zipf_trace, monkeypatch):
-        # A fresh table: examples run in-process register their own.
-        monkeypatch.setattr(registry, "_FACTORIES", {})
+    def test_known_policies_instantiate(self, zipf_trace):
         assert available_policies() == BUILTIN_POLICIES
         spec = _hybrid_spec(dram=8, nvm=24)
         for name in available_policies():
@@ -148,12 +145,18 @@ class TestRegistry:
         factory = policy_factory("proposed", {"read_threshold": 3,
                                               "write_threshold": 1})
         register_policy("custom-test-policy", factory)
-        try:
-            policy = policy_factory("custom-test-policy")(
-                MemoryManager(_hybrid_spec()))
-            assert policy.read_threshold == 3
-        finally:
-            del registry._FACTORIES["custom-test-policy"]
+        policy = policy_factory("custom-test-policy")(
+            MemoryManager(_hybrid_spec()))
+        assert policy.read_threshold == 3
+
+    def test_a_registration_is_made(self):
+        register_policy("registry-leak-probe", EagerMigrationPolicy)
+        assert "registry-leak-probe" in available_policies()
+
+    def test_a_registration_ends_with_its_test(self):
+        # Runs right after the test above: the registration it made is
+        # gone (the conftest fixture restores the table).
+        assert "registry-leak-probe" not in available_policies()
 
     def test_double_registration_rejected(self):
         with pytest.raises(ValueError):

@@ -23,21 +23,6 @@ class TestDensify:
         assert int(dense.pages.max()) == dense.unique_pages - 1
 
 
-class TestSlicing:
-    def test_head_and_tail(self, zipf_trace):
-        assert len(transform.head(zipf_trace, 10)) == 10
-        assert len(transform.tail(zipf_trace, 10)) == 10
-        assert transform.tail(zipf_trace, 0).pages.shape[0] == 0
-
-    def test_split_reassembles(self, zipf_trace):
-        parts = transform.split(zipf_trace, 3)
-        assert sum(len(part) for part in parts) == len(zipf_trace)
-        joined = parts[0]
-        for part in parts[1:]:
-            joined = joined.concat(part)
-        assert joined == zipf_trace
-
-
 class TestPerturbations:
     def test_flip_writes_changes_only_direction(self, zipf_trace):
         flipped = transform.flip_writes(zipf_trace, 0.9, seed=1)
