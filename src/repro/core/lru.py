@@ -35,8 +35,9 @@ class LRUNode:
         self._window_mask = 0
         # Opaque per-node cache slot for batched kernels (the migration
         # kernel parks the page's table entry here so a hit costs one
-        # dict lookup, not two).  Nodes never outlive their page's
-        # residency stint, so a cached reference cannot go stale.
+        # dict lookup, not two).  A kernel that reuses a node for
+        # another page replaces the payload with it, so a cached
+        # reference cannot go stale.
         self.payload = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -300,14 +301,21 @@ class LRUQueue:
     # ------------------------------------------------------------------
     def push_front(self, page: int) -> LRUNode:
         """Insert a new page at the MRU position."""
-        if page in self._nodes:
+        nodes = self._nodes
+        if page in nodes:
             raise KeyError(f"page {page} already queued")
-        node = LRUNode(page)
-        self._nodes[page] = node
-        self._link_front(node)
-        length = len(self._nodes)
-        for window in self._windows:
-            window._after_push_front(node, length)
+        nodes[page] = node = LRUNode(page)
+        head = self._head
+        node.next = head
+        if head is not None:
+            head.prev = node
+        else:
+            self._tail = node
+        self._head = node
+        if self._windows:
+            length = len(nodes)
+            for window in self._windows:
+                window._after_push_front(node, length)
         return node
 
     def touch(self, page: int) -> LRUNode:
@@ -329,12 +337,29 @@ class LRUQueue:
         node = self._nodes.pop(page, None)
         if node is None:
             raise KeyError(f"page {page} not in queue")
+        windows = self._windows
+        if not windows:
+            # Window-less queues (DRAM sides, single-tier LRU): a plain
+            # unlink; their nodes never carry a window mask.
+            prev = node.prev
+            nxt = node.next
+            if prev is not None:
+                prev.next = nxt
+                node.prev = None
+            else:
+                self._head = nxt
+            if nxt is not None:
+                nxt.prev = prev
+                node.next = None
+            else:
+                self._tail = prev
+            return node
         length = len(self._nodes) + 1
-        for window in self._windows:
+        for window in windows:
             window._before_remove(node, length)
         self._unlink(node)
         new_length = len(self._nodes)
-        for window in self._windows:
+        for window in windows:
             window._after_remove(new_length)
         node._window_mask = 0
         return node
@@ -344,6 +369,22 @@ class LRUQueue:
         if self._tail is None:
             raise IndexError("pop from empty LRU queue")
         return self.remove(self._tail.page)
+
+    def dispose(self) -> None:
+        """Empty the queue and break every node link and the windows'
+        back-references, so a finished run's queue is freed by
+        reference counting rather than whenever the cyclic collector
+        runs.  The queue takes no pages afterwards."""
+        node = self._head
+        while node is not None:
+            nxt = node.next
+            node.prev = node.next = None
+            node = nxt
+        self._nodes.clear()
+        self._head = self._tail = None
+        for window in self._windows:
+            window._boundary = None
+        self._windows.clear()
 
     def check(self) -> None:
         """O(n) structural self-check (tests): links, index, windows."""

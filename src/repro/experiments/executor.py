@@ -133,14 +133,21 @@ class ResultCache:
                  version: str | None = None) -> None:
         self.root = Path(root)
         self.version = version if version is not None else code_version()
+        # A hit builds its file name from plain strings: pathlib's
+        # parsing would cost more than the rest of the name.
+        self._prefix = os.path.join(self.root, "")
+        self._suffix = f"-{self.version}.json"
+
+    def _file(self, spec: RunSpec) -> str:
+        return self._prefix + spec.digest() + self._suffix
 
     def path_for(self, spec: RunSpec) -> Path:
-        return self.root / f"{spec.digest()}-{self.version}.json"
+        return Path(self._file(spec))
 
     def get(self, spec: RunSpec) -> RunResult | None:
-        path = self.path_for(spec)
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            with open(self._file(spec), "rb") as handle:
+                payload = json.loads(handle.read())
             if payload.get("version") != self.version:
                 return None
             return RunResult.from_dict(payload["result"])

@@ -495,4 +495,8 @@ class RunSpec:
             inter_request_gap=gap,
             events=self.events,
         )
-        return simulator.run(source, warmup_fraction=warmup)
+        result = simulator.run(source, warmup_fraction=warmup)
+        if factory is None:
+            # Nobody can reach the policy: free its queues right away.
+            simulator.policy.dispose()
+        return result

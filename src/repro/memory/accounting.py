@@ -254,15 +254,14 @@ class WearAccounting:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WearAccounting":
+        page_writes = data["page_writes"]
         return cls(
             page_factor=data["page_factor"],
             fault_fill_writes=data["fault_fill_writes"],
             migration_writes=data["migration_writes"],
             request_writes=data["request_writes"],
-            page_writes={
-                int(page): count
-                for page, count in data["page_writes"].items()
-            },
+            page_writes=dict(zip(map(int, page_writes),
+                                 page_writes.values())),
         )
 
     @property

@@ -14,9 +14,17 @@ from dataclasses import dataclass, field
 from repro.mmu.page import PageLocation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
-    """A directed transfer path between two devices."""
+    """A directed transfer path between two devices.
+
+    Channels are interned: :func:`channel` hands out the one instance
+    per (source, destination) pair, and a channel hashes and compares
+    by identity, so keying the transfer log costs a C-level pointer
+    hash instead of a generated ``__hash__`` over two enum members.
+    Build channels through :func:`channel` only; a directly
+    constructed one never equals its interned twin.
+    """
 
     source: PageLocation
     destination: PageLocation
@@ -24,12 +32,13 @@ class Channel:
     def __str__(self) -> str:
         return f"{self.source}->{self.destination}"
 
+    def __reduce__(self) -> tuple:
+        # Copies and unpickled channels resolve to the interned one.
+        return channel, (self.source, self.destination)
 
-#: Interned channel objects, one per (source, destination) pair.  A
-#: transfer is charged on every migration/fault/eviction, and hashing a
-#: ``Channel`` dataclass re-hashes two enum members each time; looking
-#: the singleton up by member identity keeps the hot path in C-speed
-#: dict operations (there are at most 6 directed channels).
+
+#: Interned channel objects, one per (source, destination) pair (there
+#: are at most 6 directed channels).
 _CHANNELS: dict[tuple[PageLocation, PageLocation], Channel] = {
     (source, destination): Channel(source, destination)
     for source in PageLocation
@@ -41,10 +50,11 @@ _CHANNELS: dict[tuple[PageLocation, PageLocation], Channel] = {
 def channel(source: PageLocation, destination: PageLocation) -> Channel:
     """The interned :class:`Channel` for a (source, destination) pair.
 
-    Batched kernels hoist the channels they charge and update
-    ``DMAEngine.transfers`` directly; going through this accessor keeps
-    them pointing at the same singletons :meth:`DMAEngine.transfer_page`
-    uses, so both code paths key the transfer log identically.
+    Batched kernels and the manager hoist the channels they charge and
+    update ``DMAEngine.transfers`` directly; going through this
+    accessor keeps them pointing at the same singletons
+    :meth:`DMAEngine.transfer_page` uses, so every code path keys the
+    transfer log identically.
     """
     return _CHANNELS[(source, destination)]
 

@@ -16,13 +16,22 @@ from typing import TYPE_CHECKING
 
 from repro.memory.accounting import AccessAccounting, WearAccounting
 from repro.memory.specs import HybridMemorySpec
-from repro.mmu.dma import DMAEngine
+from repro.mmu.dma import DMAEngine, channel
 from repro.mmu.frames import FrameAllocator
 from repro.mmu.page import PageLocation, PageTableEntry
 from repro.mmu.page_table import PageTable
 
 if TYPE_CHECKING:  # repro.obs imports mmu.page; keep this edge typing-only
     from repro.obs.bus import EventBus
+
+_DRAM, _NVM, _DISK = PageLocation.DRAM, PageLocation.NVM, PageLocation.DISK
+#: The DMA channel each movement charges, keyed by the page's module.
+_FILL_CHANNELS = {_DRAM: channel(_DISK, _DRAM), _NVM: channel(_DISK, _NVM)}
+_EVICTION_CHANNELS = {_DRAM: channel(_DRAM, _DISK),
+                      _NVM: channel(_NVM, _DISK)}
+_MIGRATION_CHANNELS = {_DRAM: channel(_NVM, _DRAM),
+                       _NVM: channel(_DRAM, _NVM)}
+_SWAP_CHANNELS = tuple(_MIGRATION_CHANNELS.values())
 
 
 class MemoryManager:
@@ -33,6 +42,8 @@ class MemoryManager:
         self.page_table = PageTable()
         self.dram = FrameAllocator(spec.dram_pages)
         self.nvm = FrameAllocator(spec.nvm_pages)
+        self._allocators = {PageLocation.DRAM: self.dram,
+                            PageLocation.NVM: self.nvm}
         self.dma = DMAEngine(page_size=spec.page_size)
         self.accounting = AccessAccounting()
         self.wear = WearAccounting(page_factor=spec.page_factor)
@@ -52,15 +63,11 @@ class MemoryManager:
     def is_resident(self, page: int) -> bool:
         return page in self.page_table
 
-    def _allocator(self, location: PageLocation) -> FrameAllocator:
-        if location is PageLocation.DRAM:
-            return self.dram
-        if location is PageLocation.NVM:
-            return self.nvm
-        raise ValueError(f"{location} has no frame allocator")
-
     def has_free(self, location: PageLocation) -> bool:
-        return not self._allocator(location).full
+        allocator = self._allocators.get(location)
+        if allocator is None:
+            raise ValueError(f"{location} has no frame allocator")
+        return len(allocator._allocated) < allocator.capacity
 
     # ------------------------------------------------------------------
     # Request servicing
@@ -107,6 +114,11 @@ class MemoryManager:
     # ------------------------------------------------------------------
     # Page movement
     # ------------------------------------------------------------------
+    # The four movement methods below are every policy's miss path, so
+    # they touch the page-table dict, the accounting and the transfer
+    # log directly instead of layering through the helper methods.
+    # Every misuse check runs before the first mutation: a misuse
+    # raises and leaves the manager exactly as it was.
     def fault_fill(
         self, page: int, destination: PageLocation, is_write: bool
     ) -> PageTableEntry:
@@ -116,57 +128,57 @@ class MemoryManager:
         charges only the disk latency for it); the request's direction
         decides the page's initial dirty state.
         """
-        if not destination.in_memory:
+        allocator = self._allocators.get(destination)
+        if allocator is None:
             raise ValueError("fault destination must be a memory module")
-        if self.is_resident(page):
+        entries = self.page_table._entries
+        if page in entries:
             raise KeyError(f"page {page} is already resident")
-        frame = self._allocator(destination).allocate()
-        entry = PageTableEntry(
-            page=page,
-            location=destination,
-            frame=frame,
-            dirty=is_write,
-            access_count=1,
-            write_count=1 if is_write else 0,
+        entries[page] = entry = PageTableEntry(
+            page, destination, allocator.allocate(), is_write, 1,
+            1 if is_write else 0,
         )
-        self.page_table.insert(entry)
-        self.dma.transfer_page(PageLocation.DISK, destination)
+        transfers = self.dma.transfers
+        channel = _FILL_CHANNELS[destination]
+        transfers[channel] = transfers.get(channel, 0) + 1
+        accounting = self.accounting
         if is_write:
-            self.accounting.write_faults += 1
+            accounting.write_faults += 1
         else:
-            self.accounting.read_faults += 1
-        if destination is PageLocation.DRAM:
-            self.accounting.faults_filled_dram += 1
+            accounting.read_faults += 1
+        if destination is _DRAM:
+            accounting.faults_filled_dram += 1
         else:
-            self.accounting.faults_filled_nvm += 1
+            accounting.faults_filled_nvm += 1
             self.wear.record_fault_fill(page)
         events = self.events
         if events is not None:
-            events.page_fault(
-                page, destination is PageLocation.DRAM, is_write
-            )
+            events.page_fault(page, destination is _DRAM, is_write)
         return entry
 
     def migrate(self, page: int, destination: PageLocation) -> PageTableEntry:
         """Move a resident page between the two memory modules."""
-        if not destination.in_memory:
+        allocator = self._allocators.get(destination)
+        if allocator is None:
             raise ValueError("migration destination must be a memory module")
-        entry = self.page_table.lookup(page)
+        entry = self.page_table._entries.get(page)
         if entry is None:
             raise KeyError(f"page {page} is not resident")
-        if entry.has_copy:
+        if entry.copy_frame is not None:
             raise ValueError(
                 f"page {page} has a DRAM copy; drop it before migrating"
             )
         source = entry.location
         if source is destination:
             raise ValueError(f"page {page} already lives in {destination}")
-        frame = self._allocator(destination).allocate()
-        self._allocator(source).release(entry.frame)
+        frame = allocator.allocate()
+        self._allocators[source].release(entry.frame)
         entry.location = destination
         entry.frame = frame
-        self.dma.transfer_page(source, destination)
-        if destination is PageLocation.DRAM:
+        transfers = self.dma.transfers
+        channel = _MIGRATION_CHANNELS[destination]
+        transfers[channel] = transfers.get(channel, 0) + 1
+        if destination is _DRAM:
             self.accounting.migrations_to_dram += 1
         else:
             self.accounting.migrations_to_nvm += 1
@@ -174,9 +186,7 @@ class MemoryManager:
         events = self.events
         if events is not None:
             events.migration(
-                page,
-                destination is PageLocation.DRAM,
-                entry.access_count,
+                page, destination is _DRAM, entry.access_count,
                 entry.write_count,
             )
         return entry
@@ -189,36 +199,37 @@ class MemoryManager:
         one page through a buffer and both cross the interconnect.
         Counts one migration in each direction.
         """
-        entry_a = self.page_table.lookup(page_a)
-        entry_b = self.page_table.lookup(page_b)
+        entries = self.page_table._entries
+        entry_a = entries.get(page_a)
+        entry_b = entries.get(page_b)
         if entry_a is None or entry_b is None:
             missing = page_a if entry_a is None else page_b
             raise KeyError(f"page {missing} is not resident")
-        if entry_a.location is entry_b.location:
+        location_a = entry_a.location
+        location_b = entry_b.location
+        if location_a is location_b:
             raise ValueError(
                 "swap requires pages in different modules, both are in "
-                f"{entry_a.location}"
+                f"{location_a}"
             )
-        entry_a.location, entry_b.location = entry_b.location, entry_a.location
+        entry_a.location = location_b
+        entry_b.location = location_a
         entry_a.frame, entry_b.frame = entry_b.frame, entry_a.frame
+        transfers = self.dma.transfers
+        for channel in _SWAP_CHANNELS:
+            transfers[channel] = transfers.get(channel, 0) + 1
+        accounting = self.accounting
+        accounting.migrations_to_dram += 1
+        accounting.migrations_to_nvm += 1
+        self.wear.record_migration_in(
+            page_a if location_b is _NVM else page_b
+        )
         events = self.events
-        transfer_page = self.dma.transfer_page
-        record_migration_in = self.wear.record_migration_in
-        dram, nvm = PageLocation.DRAM, PageLocation.NVM
-        for entry in (entry_a, entry_b):
-            transfer_page(nvm if entry.location is dram else dram,
-                          entry.location)
-            if entry.location is dram:
-                self.accounting.migrations_to_dram += 1
-            else:
-                self.accounting.migrations_to_nvm += 1
-                record_migration_in(entry.page)
-            if events is not None:
+        if events is not None:
+            for entry in (entry_a, entry_b):
                 events.migration(
-                    entry.page,
-                    entry.location is dram,
-                    entry.access_count,
-                    entry.write_count,
+                    entry.page, entry.location is _DRAM,
+                    entry.access_count, entry.write_count,
                 )
 
     # ------------------------------------------------------------------
@@ -278,14 +289,20 @@ class MemoryManager:
 
     def evict_to_disk(self, page: int) -> PageTableEntry:
         """Evict a resident page to disk (write-back when dirty)."""
-        cached = self.page_table.lookup(page)
-        if cached is not None and cached.has_copy:
+        entries = self.page_table._entries
+        entry = entries.get(page)
+        if entry is None:
+            raise KeyError(f"page {page} is not resident")
+        if entry.copy_frame is not None:
             raise ValueError(
                 f"page {page} still has a DRAM copy; drop it first"
             )
-        entry = self.page_table.remove(page)
-        self._allocator(entry.location).release(entry.frame)
-        self.dma.transfer_page(entry.location, PageLocation.DISK)
+        del entries[page]
+        location = entry.location
+        self._allocators[location].release(entry.frame)
+        transfers = self.dma.transfers
+        channel = _EVICTION_CHANNELS[location]
+        transfers[channel] = transfers.get(channel, 0) + 1
         if entry.dirty:
             self.accounting.dirty_evictions += 1
         else:
@@ -293,12 +310,62 @@ class MemoryManager:
         events = self.events
         if events is not None:
             events.eviction(
-                page,
-                entry.location is PageLocation.DRAM,
-                entry.dirty,
-                entry.access_count,
+                page, location is _DRAM, entry.dirty, entry.access_count,
                 entry.write_count,
             )
+        return entry
+
+    def refill(self, victim: int, page: int, is_write: bool) -> PageTableEntry:
+        """Evict ``victim`` to disk and fault ``page`` into its frame.
+
+        Exactly :meth:`evict_to_disk` then :meth:`fault_fill` into the
+        victim's module (the frame released is the frame allocated
+        next, so the allocator ends where it started), in one step for
+        a full module's miss: the victim's entry becomes the new
+        page's.  Misuse raises before anything changes.
+        """
+        entries = self.page_table._entries
+        entry = entries.get(victim)
+        if entry is None:
+            raise KeyError(f"page {victim} is not resident")
+        if entry.copy_frame is not None:
+            raise ValueError(
+                f"page {victim} still has a DRAM copy; drop it first"
+            )
+        if page != victim and page in entries:
+            raise KeyError(f"page {page} is already resident")
+        location = entry.location
+        transfers = self.dma.transfers
+        for channel in (_EVICTION_CHANNELS[location],
+                        _FILL_CHANNELS[location]):
+            transfers[channel] = transfers.get(channel, 0) + 1
+        accounting = self.accounting
+        if entry.dirty:
+            accounting.dirty_evictions += 1
+        else:
+            accounting.clean_evictions += 1
+        if is_write:
+            accounting.write_faults += 1
+        else:
+            accounting.read_faults += 1
+        if location is _DRAM:
+            accounting.faults_filled_dram += 1
+        else:
+            accounting.faults_filled_nvm += 1
+            self.wear.record_fault_fill(page)
+        events = self.events
+        if events is not None:
+            events.eviction(
+                victim, location is _DRAM, entry.dirty, entry.access_count,
+                entry.write_count,
+            )
+            events.page_fault(page, location is _DRAM, is_write)
+        del entries[victim]
+        entries[page] = entry
+        entry.page = page
+        entry.dirty = is_write
+        entry.access_count = 1
+        entry.write_count = 1 if is_write else 0
         return entry
 
     # ------------------------------------------------------------------
@@ -347,7 +414,7 @@ class MemoryManager:
                 assert entry.copy_frame is not None
                 claims.append((PageLocation.DRAM, entry.copy_frame))
             for location, frame in claims:
-                if not self._allocator(location).is_allocated(frame):
+                if not self._allocators[location].is_allocated(frame):
                     raise AssertionError(
                         f"page {entry.page} references unallocated "
                         f"{location} frame {frame}"

@@ -485,7 +485,11 @@ def simulate(
     batch: bool = True,
     events: EventConfig | None = None,
 ) -> RunResult:
-    """One-shot convenience wrapper around :class:`HybridMemorySimulator`."""
+    """One-shot convenience wrapper around :class:`HybridMemorySimulator`.
+
+    The simulator is thrown away with its policy, whose linked
+    structures are disposed of once the result is taken.
+    """
     simulator = HybridMemorySimulator(
         spec,
         policy_factory,
@@ -494,5 +498,8 @@ def simulate(
         batch=batch,
         events=events,
     )
-    return simulator.run(trace, warmup_fraction=warmup_fraction,
-                         warmup_requests=warmup_requests)
+    try:
+        return simulator.run(trace, warmup_fraction=warmup_fraction,
+                             warmup_requests=warmup_requests)
+    finally:
+        simulator.policy.dispose()

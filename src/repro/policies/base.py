@@ -63,6 +63,17 @@ class HybridMemoryPolicy(abc.ABC):
         for page, is_write in zip(pages, writes):
             access(page, is_write)
 
+    def dispose(self) -> None:
+        """End a run nobody inspects any more: dispose of every
+        attribute that can (LRU queues, replacement algorithms, clock
+        rings).  That breaks their node cycles, so the run's memory is
+        freed by reference counting instead of whenever the cyclic
+        collector runs.  The policy replays nothing afterwards."""
+        for value in vars(self).values():
+            dispose = getattr(type(value), "dispose", None)
+            if dispose is not None:
+                dispose(value)
+
     def validate(self) -> None:  # repro: cold
         """Check policy-internal state against the manager's.
 

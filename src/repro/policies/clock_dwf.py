@@ -75,12 +75,12 @@ class WriteHistoryClock:
         """Add a page; ``written`` seeds the write history (pages arrive
         in DRAM either through a write fault or a write-triggered
         migration, both of which imply an immediate write)."""
-        if self.full:
+        nodes = self._nodes
+        if len(nodes) >= self.capacity:
             raise MemoryError("insert into full clock; evict first")
-        if page in self._nodes:
+        if page in nodes:
             raise KeyError(f"page {page} already resident")
-        node = _DWFNode(page, 1 if written else 0)
-        self._nodes[page] = node
+        nodes[page] = node = _DWFNode(page, 1 if written else 0)
         if self._hand is None:
             node.prev = node
             node.next = node
@@ -93,20 +93,41 @@ class WriteHistoryClock:
             node.next = self._hand
             self._hand.prev = node
 
+    def _victim(self) -> _DWFNode:
+        """Sweep the hand past written pages, decaying their history."""
+        node = self._hand
+        if node is None:
+            raise IndexError("evict from empty clock")
+        while node.write_freq > 0:
+            node.write_freq -= 1
+            node = node.next
+        return node
+
     def evict(self) -> int:
         """Choose and remove the most read-dominant victim."""
-        if self._hand is None:
-            raise IndexError("evict from empty clock")
-        while True:
-            node = self._hand
-            if node.write_freq > 0:
-                node.write_freq -= 1
-                self._hand = node.next
-            else:
-                self._hand = node.next
-                self._unlink(node)
-                del self._nodes[node.page]
-                return node.page
+        node = self._victim()
+        self._hand = node.next
+        self._unlink(node)
+        del self._nodes[node.page]
+        return node.page
+
+    def replace(self, page: int, written: bool) -> int:
+        """:meth:`evict` then :meth:`insert` of ``page`` in one step.
+
+        The new page lands where the victim was (just behind the hand),
+        so the victim's node is reused in place.  Returns the victim.
+        """
+        nodes = self._nodes
+        if page in nodes:
+            raise KeyError(f"page {page} already resident")
+        node = self._victim()
+        victim = node.page
+        del nodes[victim]
+        nodes[page] = node
+        node.page = page
+        node.write_freq = 1 if written else 0
+        self._hand = node.next
+        return victim
 
     def _unlink(self, node: _DWFNode) -> None:
         if node.next is node:
@@ -119,6 +140,13 @@ class WriteHistoryClock:
                 self._hand = node.next
         node.prev = None
         node.next = None
+
+    def dispose(self) -> None:
+        """End of run: empty the ring and break its links."""
+        for node in self._nodes.values():
+            node.prev = node.next = None
+        self._nodes.clear()
+        self._hand = None
 
     def pages(self) -> list[int]:
         result: list[int] = []
@@ -174,18 +202,20 @@ class ClockDWFPolicy(HybridMemoryPolicy):
         equivalence tests assert it).  The per-request ``location_of``
         lookup, the clock-hit bookkeeping and the manager's
         ``record_request`` + ``serve_hit`` accounting are inlined for
-        the two hit paths; write-triggered promotions and page faults
-        keep going through the methods (they cascade through multi-step
-        manager bookkeeping and are comparatively rare).  Commutative
-        event counters accumulate in locals and flush once per batch in
-        a ``finally`` block.  Subclasses that override ``access`` or
+        the two hit paths.  A page fault calls :meth:`_page_fault`
+        directly; a write to an NVM page calls :meth:`_promote` and
+        then is served by the inlined DRAM write-hit path, exactly as
+        :meth:`access` serves it after the promotion.  Request and hit
+        counters accumulate in locals and flush once per batch in a
+        ``finally`` block.  Subclasses that override ``access`` or
         replace the NVM clock fall back to the per-request loop.
 
         With an event bus attached, every call-out (fault, promotion,
-        copy-served read) folds the deferred request counters into
-        ``bus.clock`` first and the ``finally`` block folds the
-        remainder, keeping the event stream byte-identical to the
-        per-request path's (the inlined hit paths never emit).
+        copy-served read) first folds the deferred request counters,
+        the current request included, into ``bus.clock``, and the
+        ``finally`` block folds the remainder, keeping the event
+        stream byte-identical to the per-request path's (the inlined
+        hit paths never emit).
         """
         cls = type(self)
         if (
@@ -203,11 +233,9 @@ class ClockDWFPolicy(HybridMemoryPolicy):
         dram_nodes = self.dram_clock._nodes
         max_write_freq = self.dram_clock.max_write_freq
         nvm_nodes = self.nvm_clock._nodes
-        dram_hit = self.dram_clock.hit
         promote = self._promote
         page_fault = self._page_fault
         dram_location = PageLocation.DRAM
-        nvm_location = PageLocation.NVM
         bus = mm.events
         # Requests already folded into the bus clock; the deferred
         # request counters minus this are the kernel's clock debt.
@@ -224,65 +252,55 @@ class ClockDWFPolicy(HybridMemoryPolicy):
             for page, is_write in zip(pages, writes):
                 entry = entries_get(page)
                 if entry is None:
+                    if is_write:
+                        write_requests += 1
+                    else:
+                        read_requests += 1
                     if bus is not None:
                         bus.clock += read_requests + write_requests - synced
                         synced = read_requests + write_requests
-                    record_request(is_write)
                     page_fault(page, is_write)
                     continue
-                location = entry.location
-                if location is dram_location:
-                    # --- DRAM hit: clock hit + serve_hit inlined ---
-                    if is_write:
-                        node = dram_nodes[page]
-                        freq = node.write_freq + 1
-                        node.write_freq = (
-                            freq if freq < max_write_freq else max_write_freq
-                        )
-                        write_requests += 1
-                        dram_write_hits += 1
-                        if entry.copy_frame is not None:
-                            entry.copy_dirty = True
-                        entry.write_count += 1
-                        entry.dirty = True
-                    else:
-                        read_requests += 1
-                        dram_read_hits += 1
-                    entry.access_count += 1
-                elif location is nvm_location:
-                    if is_write:
-                        # NVM never answers writes: promote, then serve
-                        # in DRAM (multi-step; keep the method calls).
-                        if bus is not None:
-                            bus.clock += (
-                                read_requests + write_requests - synced
-                            )
-                            synced = read_requests + write_requests
-                        record_request(True)
-                        promote(page)
-                        serve_hit(page, True)
-                        dram_hit(page, True)
-                    else:
+                if entry.location is not dram_location:
+                    if not is_write:
                         # --- NVM read hit: clock + serve_hit inlined ---
                         nvm_nodes[page].referenced = True
-                        if entry.copy_frame is not None:
-                            if bus is not None:
-                                bus.clock += (
-                                    read_requests + write_requests - synced
-                                )
-                                synced = read_requests + write_requests
-                            record_request(False)
-                            serve_hit(page, False)
-                        else:
+                        if entry.copy_frame is None:
                             read_requests += 1
                             nvm_read_hits += 1
                             entry.access_count += 1
-                else:
+                            continue
+                        if bus is not None:
+                            bus.clock += read_requests + write_requests - synced
+                            synced = read_requests + write_requests
+                        record_request(False)
+                        serve_hit(page, False)
+                        continue
+                    # NVM never answers writes: promote, then serve the
+                    # write in DRAM below (which counts the request).
                     if bus is not None:
-                        bus.clock += read_requests + write_requests - synced
-                        synced = read_requests + write_requests
-                    record_request(is_write)
-                    page_fault(page, is_write)
+                        bus.clock += (
+                            read_requests + write_requests + 1 - synced
+                        )
+                        synced = read_requests + write_requests + 1
+                    promote(page)
+                # --- DRAM hit: clock hit + serve_hit inlined ---
+                if is_write:
+                    node = dram_nodes[page]
+                    freq = node.write_freq + 1
+                    node.write_freq = (
+                        freq if freq < max_write_freq else max_write_freq
+                    )
+                    write_requests += 1
+                    dram_write_hits += 1
+                    if entry.copy_frame is not None:
+                        entry.copy_dirty = True
+                    entry.write_count += 1
+                    entry.dirty = True
+                else:
+                    read_requests += 1
+                    dram_read_hits += 1
+                entry.access_count += 1
         finally:
             if bus is not None:
                 bus.clock += read_requests + write_requests - synced
@@ -295,43 +313,44 @@ class ClockDWFPolicy(HybridMemoryPolicy):
     # ------------------------------------------------------------------
     def _promote(self, page: int) -> None:
         """Migrate an NVM page to DRAM on a write request."""
-        events = self.mm.events
+        mm = self.mm
+        events = mm.events
         if events is not None:
             # CLOCK-DWF's trigger is unconditional: the first NVM write
             # promotes (threshold of one write, no counter history).
             events.annotate("nvm-write", 1, 1)
         self.nvm_clock.remove(page)
-        if self.mm.has_free(PageLocation.DRAM):
-            self.mm.migrate(page, PageLocation.DRAM)
-        else:
-            victim = self.dram_clock.evict()
-            self.mm.swap(page, victim)
-            self.nvm_clock.insert(victim)
-        self.dram_clock.insert(page, written=True)
-
-    def _page_fault(self, page: int, is_write: bool) -> None:
-        if self.mm.has_free(PageLocation.DRAM):
-            # Free DRAM absorbs every fault regardless of direction.
-            self.mm.fault_fill(page, PageLocation.DRAM, is_write)
-            self.dram_clock.insert(page, written=is_write)
-        elif is_write:
-            self._demote_dram_victim()
-            self.mm.fault_fill(page, PageLocation.DRAM, True)
+        if mm.has_free(PageLocation.DRAM):
+            mm.migrate(page, PageLocation.DRAM)
             self.dram_clock.insert(page, written=True)
         else:
-            if not self.mm.has_free(PageLocation.NVM):
-                victim = self.nvm_clock.evict()
-                self.mm.evict_to_disk(victim)
-            self.mm.fault_fill(page, PageLocation.NVM, False)
-            self.nvm_clock.insert(page)
+            victim = self.dram_clock.replace(page, written=True)
+            mm.swap(page, victim)
+            self.nvm_clock.insert(victim)
 
-    def _demote_dram_victim(self) -> None:
-        if not self.mm.has_free(PageLocation.NVM):
-            nvm_victim = self.nvm_clock.evict()
-            self.mm.evict_to_disk(nvm_victim)
-        victim = self.dram_clock.evict()
-        self.mm.migrate(victim, PageLocation.NVM)
-        self.nvm_clock.insert(victim)
+    def _page_fault(self, page: int, is_write: bool) -> None:
+        """Fill a faulting page; the clocks' ``replace`` keeps every
+        victim's slot for the page that takes its place."""
+        mm = self.mm
+        if mm.has_free(PageLocation.DRAM):
+            # Free DRAM absorbs every fault regardless of direction.
+            mm.fault_fill(page, PageLocation.DRAM, is_write)
+            self.dram_clock.insert(page, written=is_write)
+        elif is_write:
+            # Demote DRAM's victim into NVM (evicting NVM's victim to
+            # disk first when NVM is full), then fill its DRAM frame.
+            victim = self.dram_clock.replace(page, written=True)
+            if mm.has_free(PageLocation.NVM):
+                self.nvm_clock.insert(victim)
+            else:
+                mm.evict_to_disk(self.nvm_clock.replace(victim))
+            mm.migrate(victim, PageLocation.NVM)
+            mm.fault_fill(page, PageLocation.DRAM, True)
+        elif mm.has_free(PageLocation.NVM):
+            mm.fault_fill(page, PageLocation.NVM, False)
+            self.nvm_clock.insert(page)
+        else:
+            mm.refill(self.nvm_clock.replace(page), page, False)
 
     # ------------------------------------------------------------------
     def validate(self) -> None:  # repro: cold

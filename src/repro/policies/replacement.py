@@ -93,6 +93,10 @@ class LRUReplacement(ReplacementAlgorithm):
         """MRU-to-LRU page order (diagnostics/tests)."""
         return self._queue.pages()
 
+    def dispose(self) -> None:
+        """End of run: empty the queue and break its links."""
+        self._queue.dispose()
+
     def validate(self) -> None:  # repro: cold
         super().validate()
         self._queue.check()
@@ -105,7 +109,8 @@ class _ClockNode:
         self.page = page
         self.prev: "_ClockNode | None" = None
         self.next: "_ClockNode | None" = None
-        self.referenced = False
+        # Inserted pages start referenced (one full sweep of grace).
+        self.referenced = True
 
 
 class ClockReplacement(ReplacementAlgorithm):
@@ -133,13 +138,12 @@ class ClockReplacement(ReplacementAlgorithm):
         self._nodes[page].referenced = True
 
     def insert(self, page: int, is_write: bool = False) -> None:
-        if self.full:
+        nodes = self._nodes
+        if len(nodes) >= self.capacity:
             raise MemoryError("insert into full clock; evict first")
-        if page in self._nodes:
+        if page in nodes:
             raise KeyError(f"page {page} already resident")
-        node = _ClockNode(page)
-        node.referenced = True
-        self._nodes[page] = node
+        nodes[page] = node = _ClockNode(page)
         if self._hand is None:
             node.prev = node
             node.next = node
@@ -154,19 +158,40 @@ class ClockReplacement(ReplacementAlgorithm):
             node.next = self._hand
             self._hand.prev = node
 
-    def evict(self) -> int:
-        if self._hand is None:
+    def _victim(self) -> _ClockNode:
+        """Sweep the hand past referenced pages, clearing their bits."""
+        node = self._hand
+        if node is None:
             raise IndexError("evict from empty clock")
-        while True:
-            node = self._hand
-            if node.referenced:
-                node.referenced = False
-                self._hand = node.next
-            else:
-                self._hand = node.next
-                self._unlink(node)
-                del self._nodes[node.page]
-                return node.page
+        while node.referenced:
+            node.referenced = False
+            node = node.next
+        return node
+
+    def evict(self) -> int:
+        node = self._victim()
+        self._hand = node.next
+        self._unlink(node)
+        del self._nodes[node.page]
+        return node.page
+
+    def replace(self, page: int) -> int:
+        """:meth:`evict` then :meth:`insert` of ``page`` in one step.
+
+        The new page lands where the victim was (just behind the hand),
+        so the victim's node is reused in place.  Returns the victim.
+        """
+        nodes = self._nodes
+        if page in nodes:
+            raise KeyError(f"page {page} already resident")
+        node = self._victim()
+        victim = node.page
+        del nodes[victim]
+        nodes[page] = node
+        node.page = page
+        node.referenced = True
+        self._hand = node.next
+        return victim
 
     def remove(self, page: int) -> None:
         node = self._nodes.pop(page)
@@ -183,6 +208,13 @@ class ClockReplacement(ReplacementAlgorithm):
                 self._hand = node.next
         node.prev = None
         node.next = None
+
+    def dispose(self) -> None:
+        """End of run: empty the ring and break its links."""
+        for node in self._nodes.values():
+            node.prev = node.next = None
+        self._nodes.clear()
+        self._hand = None
 
     def pages(self) -> list[int]:
         """Pages in hand order (diagnostics/tests)."""

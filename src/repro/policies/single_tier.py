@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable
 
+from repro.core.lru import LRUNode
 from repro.memory.accounting import WearAccounting
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation
@@ -54,14 +55,17 @@ class SingleTierPolicy(HybridMemoryPolicy):
             self.algorithm.hit(page, is_write)
             self.mm.serve_hit(page, is_write)
             return
+        self._page_fault(page, is_write)
+
+    def _page_fault(self, page: int, is_write: bool) -> None:
+        """Evict the algorithm's victim when full, then fill ``page``."""
         if self.algorithm.full:
-            victim = self.algorithm.evict()
-            self.mm.evict_to_disk(victim)
+            self.mm.evict_to_disk(self.algorithm.evict())
         self.mm.fault_fill(page, self.location, is_write)
         self.algorithm.insert(page, is_write)
 
     def access_batch(self, pages: list[int], writes: list[bool]) -> None:
-        """Batched kernel: hit path inlined, misses through the methods.
+        """Batched kernel: hits inlined, misses one lean cascade.
 
         Bit-identical to looping over :meth:`access` (asserted by the
         golden-equivalence tests).  The manager's ``record_request`` +
@@ -70,10 +74,19 @@ class SingleTierPolicy(HybridMemoryPolicy):
         once per batch in a ``finally`` block.  Every page lives in the
         policy's one tier and none ever has a DRAM copy, so the tier's
         hit counters (and, for NVM, the wear of write hits) are chosen
-        once per batch, not per hit.  With the default
-        :class:`LRUReplacement` algorithm the queue's move-to-front is
-        additionally inlined (its queue carries no position windows);
-        other algorithms keep their ``hit`` call.  Subclasses that
+        once per batch, not per hit.
+
+        With the default :class:`LRUReplacement` algorithm (its queue
+        carries no position windows) the move-to-front of a hit is
+        inlined, and so is the miss cascade when no event bus is
+        attached: the LRU tail leaves the queue,
+        :meth:`MemoryManager.refill` evicts it and faults the new page
+        into its frame, and the tail's node is reused for the new page
+        at the head.  Other algorithms, and every miss under an event
+        bus, go through :meth:`_page_fault`; the kernel counts each
+        miss's request itself and, with a bus, folds the deferred
+        requests (this one included) into ``bus.clock`` first, so the
+        event stream matches the per-request path's.  Subclasses that
         override ``access`` fall back to the per-request loop.
         """
         cls = type(self)
@@ -82,21 +95,20 @@ class SingleTierPolicy(HybridMemoryPolicy):
             return
 
         mm = self.mm
-        record_request = mm.record_request
         accounting = mm.accounting
         wear = mm.wear
         in_dram = self.location is PageLocation.DRAM
         # Per-page wear of NVM write hits; DRAM takes none.
         page_writes = None if in_dram else wear.page_writes
         entries = mm.page_table._entries
-        evict_to_disk = mm.evict_to_disk
+        refill = mm.refill
         fault_fill = mm.fault_fill
+        page_fault = self._page_fault
         algorithm = self.algorithm
         alg_hit = algorithm.hit
-        alg_evict = algorithm.evict
-        alg_insert = algorithm.insert
         capacity = algorithm.capacity
         location = self.location
+        make_node = LRUNode
         # The stock LRU algorithm's hit is a plain move-to-front on a
         # window-less queue; inline it.  Anything else (CLOCK, custom)
         # keeps its hit() call.
@@ -112,10 +124,12 @@ class SingleTierPolicy(HybridMemoryPolicy):
         # request counters minus this are the kernel's clock debt.
         synced = 0
 
-        # Deferred (commutative) hit counters, flushed after the loop;
-        # misses record their request through the manager.
+        # Deferred (commutative) counters, flushed after the loop; a
+        # miss defers only its request count.
         read_hits = 0
         write_hits = 0
+        read_misses = 0
+        write_misses = 0
 
         try:
             if queue is not None:
@@ -124,14 +138,44 @@ class SingleTierPolicy(HybridMemoryPolicy):
                 for page, is_write in zip(pages, writes):
                     node = nodes_get(page)
                     if node is None:
+                        if is_write:
+                            write_misses += 1
+                        else:
+                            read_misses += 1
                         if bus is not None:
-                            bus.clock += read_hits + write_hits - synced
-                            synced = read_hits + write_hits
-                        record_request(is_write)
+                            total = (read_hits + write_hits + read_misses
+                                     + write_misses)
+                            bus.clock += total - synced
+                            synced = total
+                            page_fault(page, is_write)
+                            continue
                         if len(nodes) >= capacity:
-                            evict_to_disk(alg_evict())
-                        fault_fill(page, location, is_write)
-                        alg_insert(page, is_write)
+                            # LRU tail to disk; its node carries the
+                            # new page (LRUQueue.pop_lru, inlined).
+                            node = queue._tail
+                            victim = node.page
+                            del nodes[victim]
+                            prev = node.prev
+                            if prev is not None:
+                                prev.next = None
+                                node.prev = None
+                            else:
+                                queue._head = None
+                            queue._tail = prev
+                            node.page = page
+                            node.payload = refill(victim, page, is_write)
+                        else:
+                            node = make_node(page)
+                            node.payload = fault_fill(page, location, is_write)
+                        # LRUQueue.push_front, inlined.
+                        nodes[page] = node
+                        head = queue._head
+                        node.next = head
+                        if head is not None:
+                            head.prev = node
+                        else:
+                            queue._tail = node
+                        queue._head = node
                         continue
                     # --- LRU touch, inlined (no windows); a non-head
                     # node has a prev and the queue a head ---
@@ -165,14 +209,16 @@ class SingleTierPolicy(HybridMemoryPolicy):
                 alg_contains = algorithm.__contains__
                 for page, is_write in zip(pages, writes):
                     if not alg_contains(page):
+                        if is_write:
+                            write_misses += 1
+                        else:
+                            read_misses += 1
                         if bus is not None:
-                            bus.clock += read_hits + write_hits - synced
-                            synced = read_hits + write_hits
-                        record_request(is_write)
-                        if algorithm.full:
-                            evict_to_disk(alg_evict())
-                        fault_fill(page, location, is_write)
-                        alg_insert(page, is_write)
+                            total = (read_hits + write_hits + read_misses
+                                     + write_misses)
+                            bus.clock += total - synced
+                            synced = total
+                        page_fault(page, is_write)
                         continue
                     alg_hit(page, is_write)
                     # --- record_request + serve_hit, inlined ---
@@ -188,9 +234,10 @@ class SingleTierPolicy(HybridMemoryPolicy):
                     entry.access_count += 1
         finally:
             if bus is not None:
-                bus.clock += read_hits + write_hits - synced
-            accounting.read_requests += read_hits
-            accounting.write_requests += write_hits
+                bus.clock += (read_hits + write_hits + read_misses
+                              + write_misses - synced)
+            accounting.read_requests += read_hits + read_misses
+            accounting.write_requests += write_hits + write_misses
             if in_dram:
                 accounting.dram_read_hits += read_hits
                 accounting.dram_write_hits += write_hits

@@ -262,31 +262,47 @@ class _Membership:
 
 
 #: Sparse draws (rate > 1), cached per (trace index identity, salt,
-#: rate, warm-up boundary): the subset trace, its distinct pages and
-#: its warm-up requests.  The subset's own page index caches the LRU
-#: stack distances the rate choice predicts from, so a sweep over one
-#: trace draws, sorts and runs that Mattson pass once per rate.
-#: Entries hold the index, so ``id()`` keys stay valid.  Cleared whole
-#: at :data:`MEMO_LIMIT`.
-_DRAWS: dict[tuple[int, int, int, int], tuple] = {}
+#: rate, warm-up boundary), and the replicate sub-draws of a draw per
+#: (trace index identity, salt, rate, warm-up boundary, groups): each
+#: subset trace with its distinct pages and warm-up requests.  A
+#: subset's own page index caches the LRU stack distances the rate
+#: choice predicts from, so a sweep over one trace draws, sorts and
+#: runs that Mattson pass once per rate; reusing the subset objects
+#: also lets :data:`_REPLAYS` serve replicate replays.  Entries hold
+#: the index, so ``id()`` keys stay valid.  Cleared whole at
+#: :data:`MEMO_LIMIT`.
+_DRAWS: dict[tuple, tuple] = {}
+
+_Draw = tuple[Trace, int, int]
+
+
+def _memo_draws(
+    trace: Trace, membership: _Membership, rate: int, boundary: int,
+    groups: int,
+) -> list[_Draw]:
+    """The 1-in-``rate`` draw (``groups == 0``) or its ``groups``
+    replicate sub-draws, memoised in :data:`_DRAWS`."""
+    index = trace.page_index()
+    key = (id(index), membership.salt, rate, boundary, groups)
+    cached = _DRAWS.get(key)
+    if cached is not None:
+        return cached[1]
+    masks = (membership.replicate_draws(rate, groups) if groups
+             else [membership.draw(rate)])
+    draws = [(subset_trace(trace, mask), pages, _warm(mask, boundary))
+             for mask, pages in masks]
+    if len(_DRAWS) >= MEMO_LIMIT:
+        _DRAWS.clear()
+    _DRAWS[key] = (index, draws)
+    return draws
 
 
 def _sparse_draw(
     trace: Trace, membership: _Membership, rate: int, boundary: int
-) -> tuple[Trace, int, int]:
+) -> _Draw:
     """Subset trace, distinct pages and warm-up requests of the
     1-in-``rate`` draw (memoised in :data:`_DRAWS`)."""
-    index = trace.page_index()
-    key = (id(index), membership.salt, rate, boundary)
-    cached = _DRAWS.get(key)
-    if cached is not None:
-        return cached[1]
-    mask, pages = membership.draw(rate)
-    draw = (subset_trace(trace, mask), pages, _warm(mask, boundary))
-    if len(_DRAWS) >= MEMO_LIMIT:
-        _DRAWS.clear()
-    _DRAWS[key] = (index, draw)
-    return draw
+    return _memo_draws(trace, membership, rate, boundary, 0)[0]
 
 
 def _warm(mask: np.ndarray, boundary: int) -> int:
@@ -469,6 +485,7 @@ def _replicate_intervals(
     rate: int,
     factory: PolicyFactory,
     gap: float,
+    box_policy: _BoxPolicy | None,
     estimates: dict[str, float],
 ) -> tuple[dict[str, MetricInterval], int]:
     """Stratified page-group confidence intervals around ``estimates``.
@@ -479,13 +496,12 @@ def _replicate_intervals(
     the point estimate approximates.
     """
     replicates: list[dict[str, float]] = []
-    for sub_mask, sub_pages in membership.replicate_draws(
-        rate, config.groups
+    for subset, sub_pages, warm in _memo_draws(
+        trace, membership, rate, boundary, config.groups
     ):
         replay = _replay_subset(
-            subset_trace(trace, sub_mask), _warm(sub_mask, boundary),
-            sub_pages, machine, total_pages, measured_reads,
-            measured_writes, factory, gap,
+            subset, warm, sub_pages, machine, total_pages, measured_reads,
+            measured_writes, factory, gap, box_policy,
         )
         if replay is None:
             continue
@@ -576,7 +592,8 @@ def sample_spec(
         intervals, replicate_count = _replicate_intervals(
             trace, membership, boundary, machine, total_pages,
             measured_reads, measured_writes, config, rate,
-            policy_factory, gap, estimates=_interval_values(result),
+            policy_factory, gap, box_policy,
+            estimates=_interval_values(result),
         )
 
     return replace(result, sampling=SamplingSummary(

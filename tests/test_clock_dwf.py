@@ -9,6 +9,7 @@ from repro.memory.specs import HybridMemorySpec
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation
 from repro.policies.clock_dwf import ClockDWFPolicy, WriteHistoryClock
+from repro.policies.replacement import ClockReplacement
 
 
 def _policy(dram=2, nvm=4):
@@ -142,3 +143,37 @@ class TestClockDWFRequiresHybrid:
         )
         with pytest.raises(ValueError):
             ClockDWFPolicy(MemoryManager(spec))
+
+
+def _clock_state(clock) -> list:
+    node, state = clock._hand, []
+    for _ in range(len(clock)):
+        state.append((node.page, getattr(node, "write_freq", None),
+                      getattr(node, "referenced", None)))
+        node = node.next
+    return state
+
+
+@pytest.mark.parametrize("make, insert", [
+    (lambda: WriteHistoryClock(5), lambda c, page: c.insert(page, page % 2)),
+    (lambda: ClockReplacement(5), lambda c, page: c.insert(page)),
+])
+@pytest.mark.parametrize("size", [1, 3, 5])
+def test_replace_is_evict_then_insert(make, insert, size):
+    """The incoming page takes the victim's slot, behind the hand."""
+    fused, stepwise = make(), make()
+    for clock in (fused, stepwise):
+        for page in range(size):
+            insert(clock, page)
+        clock.hit(size - 1, True)
+        if size > 1:
+            clock.evict()
+            insert(clock, 100)
+    for page in range(200, 206):
+        victim = stepwise.evict()
+        insert(stepwise, page)
+        if isinstance(fused, WriteHistoryClock):
+            assert fused.replace(page, bool(page % 2)) == victim
+        else:
+            assert fused.replace(page) == victim
+        assert _clock_state(fused) == _clock_state(stepwise)

@@ -3,9 +3,12 @@ and the MemoryManager's operation/accounting contract."""
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
-from repro.mmu.dma import Channel, DMAEngine
+from repro.mmu.dma import DMAEngine, channel
 from repro.mmu.frames import FrameAllocator
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation, PageTableEntry
@@ -114,8 +117,14 @@ class TestDMAEngine:
         assert dma.summary() == {"NVM->DISK": 1}
 
     def test_channel_str(self):
-        channel = Channel(PageLocation.DISK, PageLocation.NVM)
-        assert str(channel) == "DISK->NVM"
+        disk_nvm = channel(PageLocation.DISK, PageLocation.NVM)
+        assert str(disk_nvm) == "DISK->NVM"
+
+    def test_channels_are_interned(self):
+        disk_nvm = channel(PageLocation.DISK, PageLocation.NVM)
+        assert channel(PageLocation.DISK, PageLocation.NVM) is disk_nvm
+        assert copy.deepcopy(disk_nvm) is disk_nvm
+        assert pickle.loads(pickle.dumps(disk_nvm)) is disk_nvm
 
 
 class TestMemoryManager:
@@ -246,3 +255,108 @@ class TestMemoryManager:
         mm.record_request(False)
         with pytest.raises(MemoryError):
             mm.fault_fill(99, PageLocation.DRAM, False)
+
+
+def _misuse_manager(spec) -> MemoryManager:
+    """DRAM full (pages 1-3 plus page 11's copy), NVM holding 10-12,
+    and a recycled frame on each free list."""
+    mm = MemoryManager(spec)
+    for page, location, is_write in (
+        (1, PageLocation.DRAM, True), (2, PageLocation.DRAM, False),
+        (9, PageLocation.DRAM, False), (3, PageLocation.DRAM, False),
+        (10, PageLocation.NVM, True), (13, PageLocation.NVM, False),
+        (11, PageLocation.NVM, False), (12, PageLocation.NVM, True),
+    ):
+        mm.record_request(is_write)
+        mm.fault_fill(page, location, is_write)
+    mm.evict_to_disk(9)
+    mm.evict_to_disk(13)
+    mm.create_copy(11)
+    mm.validate()
+    return mm
+
+
+def _manager_state(mm: MemoryManager) -> tuple:
+    entries = sorted(
+        (entry.page, entry.location.name, entry.frame, entry.dirty,
+         entry.access_count, entry.write_count, entry.copy_frame,
+         entry.copy_dirty)
+        for entry in mm.page_table.entries()
+    )
+    allocators = tuple(
+        (alloc.capacity, alloc._next_fresh, list(alloc._free),
+         sorted(alloc._allocated))
+        for alloc in (mm.dram, mm.nvm)
+    )
+    return (entries, allocators, mm.accounting.snapshot(),
+            mm.wear.to_dict(), mm.dma.summary())
+
+
+_D, _N, _DISK = PageLocation.DRAM, PageLocation.NVM, PageLocation.DISK
+
+_MISUSES = [
+    # (operation, arguments, exception)
+    ("fault_fill", (1, _N, False), KeyError),        # already resident
+    ("fault_fill", (11, _N, True), KeyError),        # resident, with a copy
+    ("fault_fill", (50, _DISK, False), ValueError),  # DISK destination
+    ("fault_fill", (1, _DISK, False), ValueError),   # DISK wins over resident
+    ("fault_fill", (50, _D, True), MemoryError),     # full module
+    ("evict_to_disk", (50,), KeyError),              # unknown page
+    ("evict_to_disk", (11,), ValueError),            # live DRAM copy
+    ("migrate", (50, _N), KeyError),                 # unknown page
+    ("migrate", (1, _DISK), ValueError),             # DISK destination
+    ("migrate", (11, _D), ValueError),               # live DRAM copy
+    ("migrate", (1, _D), ValueError),                # already there
+    ("migrate", (10, _D), MemoryError),              # full module
+    ("swap", (1, 50), KeyError),                     # unknown page
+    ("swap", (50, 10), KeyError),                    # unknown page
+    ("swap", (1, 2), ValueError),                    # same module (DRAM)
+    ("swap", (10, 12), ValueError),                  # same module (NVM)
+    ("has_free", (_DISK,), ValueError),              # no DISK allocator
+]
+
+
+@pytest.mark.parametrize(
+    "operation, arguments, error", _MISUSES,
+    ids=[f"{op}{args}" for op, args, _ in _MISUSES],
+)
+def test_misuse_raises_and_changes_nothing(small_spec, operation,
+                                           arguments, error):
+    mm = _misuse_manager(small_spec)
+    before = _manager_state(mm)
+    with pytest.raises(error):
+        getattr(mm, operation)(*arguments)
+    assert _manager_state(mm) == before
+    mm.validate()
+
+
+@pytest.mark.parametrize("arguments, error", [
+    ((50, 60, False), KeyError),    # unknown victim
+    ((11, 60, False), ValueError),  # victim with a live DRAM copy
+    ((10, 12, True), KeyError),     # page already resident
+])
+def test_refill_misuse_raises_and_changes_nothing(small_spec, arguments,
+                                                  error):
+    mm = _misuse_manager(small_spec)
+    before = _manager_state(mm)
+    with pytest.raises(error):
+        mm.refill(*arguments)
+    assert _manager_state(mm) == before
+
+
+@pytest.mark.parametrize("victim, page, is_write", [
+    (1, 60, False), (2, 60, True), (10, 60, True), (12, 60, False),
+    (12, 12, True),
+])
+def test_refill_is_evict_then_fill(small_spec, victim, page, is_write):
+    """One step, same end state: the frame the eviction frees is the
+    one the fill takes."""
+    fused, stepwise = _misuse_manager(small_spec), _misuse_manager(small_spec)
+    location = stepwise.location_of(victim)
+    for mm in (fused, stepwise):
+        mm.record_request(is_write)
+    stepwise.evict_to_disk(victim)
+    stepwise.fault_fill(page, location, is_write)
+    fused.refill(victim, page, is_write)
+    assert _manager_state(fused) == _manager_state(stepwise)
+    fused.validate()

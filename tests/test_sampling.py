@@ -567,6 +567,21 @@ class TestBoxReuse:
         for spec, result in replayed.items():
             assert result == _fresh_replay(spec, zipf_instance)
 
+    def test_replicate_replays_reuse_the_memo(
+            self, zipf_instance, monkeypatch):
+        calls = _counting_simulate(monkeypatch)
+        spec = RunSpec("zipf", engine="sampled", sampling=SamplingConfig(
+            rate=16, min_pages=0, min_faults=0, groups=4))
+        first = spec.execute(instance=zipf_instance).to_dict()
+        assert first["sampling"]["groups"] == 4
+        assert len(calls) == 1 + 4
+        # The same draw's replicate subsets come back from the draw
+        # memo, so the box memo serves all five replays.
+        again = RunSpec.from_dict(spec.to_dict())
+        assert again.execute(instance=zipf_instance).to_dict() == first
+        assert len(calls) == 1 + 4
+        assert _fresh_replay(again, zipf_instance) == first
+
     def test_the_adaptive_policy_never_reuses(
             self, zipf_instance, monkeypatch):
         # Its hooks move the thresholds during the run.

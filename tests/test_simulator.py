@@ -3,13 +3,18 @@ cross-layer invariants and result assembly."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.analysis.sanitizer import SanitizedPolicy
+from repro.core.lru import LRUNode
 from repro.experiments.runspec import RunSpec
 from repro.memory.specs import HybridMemorySpec
 from repro.mmu.simulator import HybridMemorySimulator, RunResult, simulate
+from repro.policies.clock_dwf import _DWFNode
 from repro.policies.registry import policy_factory
+from repro.policies.replacement import _ClockNode
 from repro.sampling import SamplingConfig
 from repro.workloads.synthetic import zipf_workload
 
@@ -161,3 +166,37 @@ class TestOneRecipe:
         for key in ("events", "sampling"):
             del expected[key], actual[key]
         assert actual == expected
+
+
+def _live_nodes() -> int:
+    """Queue and clock nodes alive, reachable or not."""
+    return sum(isinstance(obj, (LRUNode, _ClockNode, _DWFNode))
+               for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("policy", [
+    "proposed", "nvm-only", "dram-only-clock", "clock-dwf", "pdram",
+    "dram-cache", "static-partition",
+])
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_simulate_leaves_no_node_for_the_collector(trace, spec, policy,
+                                                    sanitize):
+    """A finished ``simulate()`` frees its queues by reference counting:
+    with the cyclic collector off, no node outlives the call."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_nodes()
+        simulate(trace, spec, policy_factory(policy), sanitize=sanitize)
+        after = _live_nodes()
+    finally:
+        gc.enable()
+    assert after == before
+
+
+def test_an_inspected_run_keeps_its_queues(trace, spec):
+    """``HybridMemorySimulator.run`` leaves the policy for its caller."""
+    simulator = HybridMemorySimulator(spec, policy_factory("proposed"))
+    simulator.run(trace)
+    assert len(simulator.policy.dram_lru) == spec.dram_pages
+    simulator.policy.validate()
