@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import TYPE_CHECKING
 
-from repro.mmu.dma import channel
+from repro.mmu.dma import Channel
 from repro.mmu.page import PageLocation
 from repro.mmu.simulator import SANITIZE_ENV as SANITIZE_ENV
 from repro.mmu.simulator import sanitize_default as sanitize_default
@@ -50,15 +50,15 @@ DEFAULT_DEEP_EVERY = 4096
 
 # Directed DMA channels grouped by the model-level event they realise.
 _FAULT_CHANNELS = (
-    channel(PageLocation.DISK, PageLocation.DRAM),
-    channel(PageLocation.DISK, PageLocation.NVM),
+    Channel(PageLocation.DISK, PageLocation.DRAM),
+    Channel(PageLocation.DISK, PageLocation.NVM),
 )
 _EVICTION_CHANNELS = (
-    channel(PageLocation.DRAM, PageLocation.DISK),
-    channel(PageLocation.NVM, PageLocation.DISK),
+    Channel(PageLocation.DRAM, PageLocation.DISK),
+    Channel(PageLocation.NVM, PageLocation.DISK),
 )
-_PROMOTION_CHANNEL = channel(PageLocation.NVM, PageLocation.DRAM)
-_DEMOTION_CHANNEL = channel(PageLocation.DRAM, PageLocation.NVM)
+_PROMOTION_CHANNEL = Channel(PageLocation.NVM, PageLocation.DRAM)
+_DEMOTION_CHANNEL = Channel(PageLocation.DRAM, PageLocation.NVM)
 
 
 class SanitizerError(AssertionError):

@@ -35,8 +35,8 @@ class LRUNode:
         self._window_mask = 0
         # Opaque per-node cache slot for batched kernels (the migration
         # kernel parks the page's table entry here so a hit costs one
-        # dict lookup, not two).  A kernel that reuses a node for
-        # another page replaces the payload with it, so a cached
+        # dict lookup, not two).  A node hands over to another page
+        # only through ``replace_lru``, which clears it, so a cached
         # reference cannot go stale.
         self.payload = None
 
@@ -305,16 +305,11 @@ class LRUQueue:
         if page in nodes:
             raise KeyError(f"page {page} already queued")
         nodes[page] = node = LRUNode(page)
-        head = self._head
-        node.next = head
-        if head is not None:
-            head.prev = node
-        else:
-            self._tail = node
-        self._head = node
-        if self._windows:
+        self._link_front(node)
+        windows = self._windows
+        if windows:
             length = len(nodes)
-            for window in self._windows:
+            for window in windows:
                 window._after_push_front(node, length)
         return node
 
@@ -338,29 +333,15 @@ class LRUQueue:
         if node is None:
             raise KeyError(f"page {page} not in queue")
         windows = self._windows
-        if not windows:
-            # Window-less queues (DRAM sides, single-tier LRU): a plain
-            # unlink; their nodes never carry a window mask.
-            prev = node.prev
-            nxt = node.next
-            if prev is not None:
-                prev.next = nxt
-                node.prev = None
-            else:
-                self._head = nxt
-            if nxt is not None:
-                nxt.prev = prev
-                node.next = None
-            else:
-                self._tail = prev
-            return node
-        length = len(self._nodes) + 1
-        for window in windows:
-            window._before_remove(node, length)
+        if windows:
+            length = len(self._nodes) + 1
+            for window in windows:
+                window._before_remove(node, length)
         self._unlink(node)
-        new_length = len(self._nodes)
-        for window in windows:
-            window._after_remove(new_length)
+        if windows:
+            new_length = len(self._nodes)
+            for window in windows:
+                window._after_remove(new_length)
         node._window_mask = 0
         return node
 
@@ -369,6 +350,29 @@ class LRUQueue:
         if self._tail is None:
             raise IndexError("pop from empty LRU queue")
         return self.remove(self._tail.page)
+
+    def replace_lru(self, page: int) -> int:
+        """:meth:`pop_lru` then :meth:`push_front` of ``page`` in one
+        step; returns the evicted page.  A window-less queue reuses the
+        evicted page's node for ``page`` (its payload cleared)."""
+        nodes = self._nodes
+        if page in nodes:
+            raise KeyError(f"page {page} already queued")
+        if self._windows:
+            victim = self.pop_lru().page
+            self.push_front(page)
+            return victim
+        node = self._tail
+        if node is None:
+            raise IndexError("pop from empty LRU queue")
+        victim = node.page
+        del nodes[victim]
+        self._unlink(node)
+        node.page = page
+        node.payload = None
+        nodes[page] = node
+        self._link_front(node)
+        return victim
 
     def dispose(self) -> None:
         """Empty the queue and break every node link and the windows'

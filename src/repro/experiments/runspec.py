@@ -463,7 +463,10 @@ class RunSpec:
         comparison); such runs bypass the result cache because the
         factory is not part of the spec's identity, and only the
         simulate engine takes one (the fast engines hand back no
-        policy object).
+        policy object).  The policy such a factory builds is left
+        intact; one built from the registry is disposed of after the
+        run, as :func:`~repro.mmu.simulator.simulate` disposes of
+        every policy it builds.
         """
         if self.engine != "simulate":
             if factory is not None:

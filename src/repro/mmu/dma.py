@@ -14,33 +14,54 @@ from dataclasses import dataclass, field
 from repro.mmu.page import PageLocation
 
 
-@dataclass(frozen=True, eq=False)
 class Channel:
     """A directed transfer path between two devices.
 
-    Channels are interned: :func:`channel` hands out the one instance
-    per (source, destination) pair, and a channel hashes and compares
-    by identity, so keying the transfer log costs a C-level pointer
-    hash instead of a generated ``__hash__`` over two enum members.
-    Build channels through :func:`channel` only; a directly
-    constructed one never equals its interned twin.
+    Channels are interned: ``Channel(source, destination)`` returns the
+    one immutable instance per pair, so a channel hashes and compares
+    by identity and keying the transfer log costs a C-level pointer
+    hash instead of a Python-level hash over two enum members.
     """
+
+    __slots__ = ("source", "destination")
 
     source: PageLocation
     destination: PageLocation
+
+    def __new__(cls, source: PageLocation,
+                destination: PageLocation) -> "Channel":
+        interned = _CHANNELS.get((source, destination))
+        if interned is None:
+            raise ValueError(
+                f"no DMA channel from {source} to {destination}")
+        return interned
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("channels are immutable")
+
+    def __repr__(self) -> str:
+        return (f"Channel(source={self.source!r}, "
+                f"destination={self.destination!r})")
 
     def __str__(self) -> str:
         return f"{self.source}->{self.destination}"
 
     def __reduce__(self) -> tuple:
         # Copies and unpickled channels resolve to the interned one.
-        return channel, (self.source, self.destination)
+        return Channel, (self.source, self.destination)
+
+
+def _make_channel(source: PageLocation, destination: PageLocation) -> Channel:
+    made = object.__new__(Channel)
+    object.__setattr__(made, "source", source)
+    object.__setattr__(made, "destination", destination)
+    return made
 
 
 #: Interned channel objects, one per (source, destination) pair (there
 #: are at most 6 directed channels).
 _CHANNELS: dict[tuple[PageLocation, PageLocation], Channel] = {
-    (source, destination): Channel(source, destination)
+    (source, destination): _make_channel(source, destination)
     for source in PageLocation
     for destination in PageLocation
     if source is not destination
@@ -48,13 +69,13 @@ _CHANNELS: dict[tuple[PageLocation, PageLocation], Channel] = {
 
 
 def channel(source: PageLocation, destination: PageLocation) -> Channel:
-    """The interned :class:`Channel` for a (source, destination) pair.
+    """The interned :class:`Channel` for a (source, destination) pair,
+    the same object ``Channel(source, destination)`` returns.
 
     Batched kernels and the manager hoist the channels they charge and
-    update ``DMAEngine.transfers`` directly; going through this
-    accessor keeps them pointing at the same singletons
-    :meth:`DMAEngine.transfer_page` uses, so every code path keys the
-    transfer log identically.
+    update ``DMAEngine.transfers`` directly; interning keeps them
+    keying the transfer log exactly as :meth:`DMAEngine.transfer_page`
+    does.
     """
     return _CHANNELS[(source, destination)]
 

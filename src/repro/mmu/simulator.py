@@ -487,8 +487,11 @@ def simulate(
 ) -> RunResult:
     """One-shot convenience wrapper around :class:`HybridMemorySimulator`.
 
-    The simulator is thrown away with its policy, whose linked
-    structures are disposed of once the result is taken.
+    The simulator is thrown away with its policy: whatever policy
+    ``policy_factory`` builds is disposed of once the result is taken
+    (its queues and clock rings are emptied), even if the factory kept
+    a reference.  To read a policy back after the run, pass its factory
+    to :meth:`RunSpec.execute` or drive :meth:`HybridMemorySimulator.run`.
     """
     simulator = HybridMemorySimulator(
         spec,

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable
 
-from repro.core.lru import LRUNode
 from repro.memory.accounting import WearAccounting
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation
@@ -58,11 +57,14 @@ class SingleTierPolicy(HybridMemoryPolicy):
         self._page_fault(page, is_write)
 
     def _page_fault(self, page: int, is_write: bool) -> None:
-        """Evict the algorithm's victim when full, then fill ``page``."""
-        if self.algorithm.full:
-            self.mm.evict_to_disk(self.algorithm.evict())
-        self.mm.fault_fill(page, self.location, is_write)
-        self.algorithm.insert(page, is_write)
+        """Fill ``page``; when the tier is full, into the frame of the
+        algorithm's victim, which :meth:`MemoryManager.refill` evicts."""
+        algorithm = self.algorithm
+        if algorithm.full:
+            self.mm.refill(algorithm.evict(), page, is_write)
+        else:
+            self.mm.fault_fill(page, self.location, is_write)
+        algorithm.insert(page, is_write)
 
     def access_batch(self, pages: list[int], writes: list[bool]) -> None:
         """Batched kernel: hits inlined, misses one lean cascade.
@@ -78,19 +80,21 @@ class SingleTierPolicy(HybridMemoryPolicy):
 
         With the default :class:`LRUReplacement` algorithm (its queue
         carries no position windows) the move-to-front of a hit is
-        inlined, and so is the miss cascade when no event bus is
-        attached: the LRU tail leaves the queue,
-        :meth:`MemoryManager.refill` evicts it and faults the new page
-        into its frame, and the tail's node is reused for the new page
-        at the head.  Other algorithms, and every miss under an event
-        bus, go through :meth:`_page_fault`; the kernel counts each
-        miss's request itself and, with a bus, folds the deferred
-        requests (this one included) into ``bus.clock`` first, so the
-        event stream matches the per-request path's.  Subclasses that
-        override ``access`` fall back to the per-request loop.
+        inlined, and a miss is :meth:`_page_fault` on the queue's own
+        methods (``replace_lru`` reuses the victim's node for the new
+        page); other algorithms keep their ``hit`` call and call
+        :meth:`_page_fault`.  The kernel counts each
+        miss's request itself and, with an event bus, folds the
+        deferred requests (this one included) into ``bus.clock`` before
+        the manager emits, so the event stream matches the per-request
+        path's.  Subclasses that override ``access`` or ``_page_fault``
+        fall back to the per-request loop.
         """
         cls = type(self)
-        if cls.access is not SingleTierPolicy.access:
+        if (
+            cls.access is not SingleTierPolicy.access
+            or cls._page_fault is not SingleTierPolicy._page_fault
+        ):
             super().access_batch(pages, writes)
             return
 
@@ -108,7 +112,6 @@ class SingleTierPolicy(HybridMemoryPolicy):
         alg_hit = algorithm.hit
         capacity = algorithm.capacity
         location = self.location
-        make_node = LRUNode
         # The stock LRU algorithm's hit is a plain move-to-front on a
         # window-less queue; inline it.  Anything else (CLOCK, custom)
         # keeps its hit() call.
@@ -135,6 +138,8 @@ class SingleTierPolicy(HybridMemoryPolicy):
             if queue is not None:
                 nodes = queue._nodes
                 nodes_get = nodes.get
+                replace_lru = queue.replace_lru
+                push_front = queue.push_front
                 for page, is_write in zip(pages, writes):
                     node = nodes_get(page)
                     if node is None:
@@ -147,35 +152,12 @@ class SingleTierPolicy(HybridMemoryPolicy):
                                      + write_misses)
                             bus.clock += total - synced
                             synced = total
-                            page_fault(page, is_write)
-                            continue
+                        # --- _page_fault, with the queue's own methods ---
                         if len(nodes) >= capacity:
-                            # LRU tail to disk; its node carries the
-                            # new page (LRUQueue.pop_lru, inlined).
-                            node = queue._tail
-                            victim = node.page
-                            del nodes[victim]
-                            prev = node.prev
-                            if prev is not None:
-                                prev.next = None
-                                node.prev = None
-                            else:
-                                queue._head = None
-                            queue._tail = prev
-                            node.page = page
-                            node.payload = refill(victim, page, is_write)
+                            refill(replace_lru(page), page, is_write)
                         else:
-                            node = make_node(page)
-                            node.payload = fault_fill(page, location, is_write)
-                        # LRUQueue.push_front, inlined.
-                        nodes[page] = node
-                        head = queue._head
-                        node.next = head
-                        if head is not None:
-                            head.prev = node
-                        else:
-                            queue._tail = node
-                        queue._head = node
+                            push_front(page).payload = fault_fill(
+                                page, location, is_write)
                         continue
                     # --- LRU touch, inlined (no windows); a non-head
                     # node has a prev and the queue a head ---

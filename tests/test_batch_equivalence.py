@@ -18,6 +18,7 @@ from repro.mmu.page import PageLocation
 from repro.mmu.simulator import HybridMemorySimulator
 from repro.obs import EventConfig
 from repro.policies.registry import available_policies, policy_factory
+from repro.policies.single_tier import NvmOnlyPolicy
 from repro.workloads.mix import mix_workloads
 from repro.workloads.synthetic import zipf_workload
 
@@ -177,3 +178,22 @@ def test_subclass_overriding_a_kernel_method_replays_per_request():
     ]
     assert results[0] == results[1]
     assert results[1]["accounting"]["faults_filled_nvm"] > 0
+
+
+class _CountingNvmOnly(NvmOnlyPolicy):
+    """Counts the faults its own ``_page_fault`` handles."""
+
+    handled = 0
+
+    def _page_fault(self, page: int, is_write: bool) -> None:
+        self.handled += 1
+        super()._page_fault(page, is_write)
+
+
+def test_single_tier_subclass_overriding_page_fault_replays_per_request():
+    trace = _zipf_trace()
+    spec = _spec_for("nvm-only", _ZIPF_PAGES)
+    simulator = HybridMemorySimulator(spec, _CountingNvmOnly,
+                                      sanitize=False)
+    result = simulator.run(trace)
+    assert simulator.policy.handled == result.accounting.page_faults > 0

@@ -60,6 +60,27 @@ class TestLRUQueueBasics:
         assert queue.pop_lru().page == 1
         assert queue.pages() == [3, 2]
 
+    @pytest.mark.parametrize("window", [None, 2])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_replace_lru_is_pop_then_push(self, window, size):
+        fused, stepwise = LRUQueue(), LRUQueue()
+        for queue in (fused, stepwise):
+            if window is not None:
+                queue.add_window(window)
+            for page in range(size):
+                queue.push_front(page)
+        for page in range(100, 104):
+            victim = stepwise.pop_lru().page
+            stepwise.push_front(page)
+            assert fused.replace_lru(page) == victim
+            assert fused.pages() == stepwise.pages()
+            assert fused.node(page).payload is None
+            fused.check()
+        with pytest.raises(KeyError):
+            fused.replace_lru(103)
+        with pytest.raises(IndexError):
+            LRUQueue().replace_lru(1)
+
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             LRUQueue().pop_lru()

@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from repro.mmu.dma import DMAEngine, channel
+from repro.mmu.dma import Channel, DMAEngine, channel
 from repro.mmu.frames import FrameAllocator
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation, PageTableEntry
@@ -117,14 +117,24 @@ class TestDMAEngine:
         assert dma.summary() == {"NVM->DISK": 1}
 
     def test_channel_str(self):
-        disk_nvm = channel(PageLocation.DISK, PageLocation.NVM)
-        assert str(disk_nvm) == "DISK->NVM"
+        channel = Channel(PageLocation.DISK, PageLocation.NVM)
+        assert str(channel) == "DISK->NVM"
 
     def test_channels_are_interned(self):
-        disk_nvm = channel(PageLocation.DISK, PageLocation.NVM)
+        disk_nvm = Channel(PageLocation.DISK, PageLocation.NVM)
+        assert Channel(PageLocation.DISK, PageLocation.NVM) is disk_nvm
         assert channel(PageLocation.DISK, PageLocation.NVM) is disk_nvm
         assert copy.deepcopy(disk_nvm) is disk_nvm
         assert pickle.loads(pickle.dumps(disk_nvm)) is disk_nvm
+        with pytest.raises(AttributeError):
+            disk_nvm.source = PageLocation.DRAM
+        with pytest.raises(ValueError):
+            Channel(PageLocation.DRAM, PageLocation.DRAM)
+
+    def test_a_constructed_channel_reads_the_transfer_log(self):
+        dma = DMAEngine(page_size=4096)
+        dma.transfer_page(PageLocation.DRAM, PageLocation.NVM)
+        assert dma.transfers[Channel(PageLocation.DRAM, PageLocation.NVM)] == 1
 
 
 class TestMemoryManager:

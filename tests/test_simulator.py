@@ -200,3 +200,21 @@ def test_an_inspected_run_keeps_its_queues(trace, spec):
     simulator.run(trace)
     assert len(simulator.policy.dram_lru) == spec.dram_pages
     simulator.policy.validate()
+
+
+def test_simulate_disposes_even_a_captured_policy(trace, spec):
+    """``simulate()`` disposes of every policy it builds; a caller that
+    reads the policy back passes its factory to ``RunSpec.execute``
+    (or drives ``HybridMemorySimulator.run``), which keeps it."""
+    kept = []
+
+    def capture(mm):
+        kept.append(policy_factory("proposed")(mm))
+        return kept[-1]
+
+    simulate(trace, spec, capture, sanitize=False)
+    assert len(kept[0].dram_lru) == 0
+    RunSpec("dedup", request_scale=1 / 2000,
+            footprint_scale=1 / 128).execute(factory=capture)
+    assert len(kept[1].dram_lru) == kept[1].mm.spec.dram_pages
+    kept[1].validate()
