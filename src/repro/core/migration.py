@@ -29,26 +29,12 @@ import math
 import sys
 
 from repro.core.config import DEFAULT_CONFIG, MigrationConfig
-from repro.core.lru import LRUNode, LRUQueue
+from repro.core.lru import LRUNode, LRUQueue, PositionWindow
 from repro.mmu.dma import channel as _dma_channel
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation, PageTableEntry
 from repro.obs.events import EvictionEvent, MigrationEvent, PageFaultEvent
-from repro.policies.base import HybridMemoryPolicy
-
-#: The per-request methods whose stock versions the batched kernel
-#: inlines; a subclass overriding any of them replays request by
-#: request.
-_KERNEL_METHODS = (
-    "access", "_nvm_hit", "_promote", "_page_fault", "_demote_dram_victim",
-)
-
-#: A subclass overriding none of these keeps its thresholds fixed and
-#: reads them only in the counter comparisons, so its runs' threshold
-#: boxes hold (:meth:`MigrationLRUPolicy.decides_by_threshold_box`).
-_BOX_METHODS = _KERNEL_METHODS + (
-    "access_batch", "_on_promoted", "_on_demoted",
-)
+from repro.policies.base import HybridMemoryPolicy, KernelContract
 
 #: ``(read_lo, read_hi), (write_lo, write_hi)``: inclusive threshold
 #: ranges, ``math.inf`` for an open upper end.
@@ -95,14 +81,12 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
     @classmethod
     def decides_by_threshold_box(cls) -> bool:
         """Whether the class runs the stock Algorithm 1 machinery and
-        hooks (:data:`_BOX_METHODS`): its thresholds then stay put and
-        are read only by the counter comparisons, so its runs'
-        :meth:`threshold_box` holds.  The adaptive policy's hooks
-        retune the thresholds, so it does not qualify."""
-        return all(
-            getattr(cls, name) is getattr(MigrationLRUPolicy, name)
-            for name in _BOX_METHODS
-        )
+        hooks (it overrides nothing in :attr:`kernel_contract`): its
+        thresholds then stay put and are read only by the counter
+        comparisons, so its runs' :meth:`threshold_box` holds.  The
+        adaptive policy's hooks retune the thresholds, so it does not
+        qualify."""
+        return not cls.kernel_overrides()
 
     def threshold_box(self) -> ThresholdBox:
         """The read x write threshold pairs that decide as this run did.
@@ -148,6 +132,16 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
             self._nvm_hit(page, is_write)
         else:
             self._page_fault(page, is_write)
+
+    kernel_contract = KernelContract(
+        inlines=("access", "_nvm_hit", "_promote", "_page_fault",
+                 "_demote_dram_victim"),
+        reads={"mm": MemoryManager, "dram_lru": LRUQueue,
+               "nvm_lru": LRUQueue,
+               "read_window": PositionWindow,
+               "write_window": PositionWindow},
+        hooks=("_on_promoted", "_on_demoted"),
+    )
 
     def access_batch(self, pages: list[int], writes: list[bool]) -> None:
         """Batched kernel: Algorithm 1 with the hot paths fully inlined.
@@ -206,26 +200,17 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
         byte-identical to the per-request path's.
 
         The subclass hooks ``_on_promoted``/``_on_demoted`` are always
-        honoured.  Hooks may retune ``read_threshold``/
-        ``write_threshold`` (the adaptive policy does): the kernel
-        reloads both after every call that can reach a hook.  Hooks
-        must not mutate the queues, windows or manager structures
-        themselves; no shipped subclass does.
-
-        The kernel only runs when the concrete class left the
-        per-request machinery untouched; subclasses overriding any of
-        :data:`_KERNEL_METHODS` (or attaching windows to the DRAM
-        queue) fall back to the generic per-request loop, so
-        behavioural overrides are never bypassed.
+        honoured (:attr:`kernel_contract` lists them as hooks).  Hooks
+        may retune ``read_threshold``/``write_threshold`` (the adaptive
+        policy does): the kernel reloads both after every call that can
+        reach a hook.  Hooks must not mutate the queues, windows or
+        manager structures themselves; no shipped subclass does.
         """
-        cls = type(self)
         dram = self.dram_lru
-        if dram._windows or any(
-            getattr(cls, name) is not getattr(MigrationLRUPolicy, name)
-            for name in _KERNEL_METHODS
-        ):
+        if not self.runs_kernel() or dram._windows:
             super().access_batch(pages, writes)
             return
+        hooks = self.kernel_overrides()
 
         mm = self.mm
         record_request = mm.record_request
@@ -278,18 +263,9 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
         live_bits = (rbit if rsize else 0) | (wbit if wsize else 0)
         promote = self._promote
         page_fault = self._page_fault
-        on_demoted = (
-            None
-            if cls._on_demoted is MigrationLRUPolicy._on_demoted
-            else self._on_demoted
-        )
+        on_demoted = self._on_demoted if "_on_demoted" in hooks else None
         bus = mm.events
-        inline_promotions = (
-            fast_faults
-            and bus is None
-            and on_demoted is None
-            and cls._on_promoted is MigrationLRUPolicy._on_promoted
-        )
+        inline_promotions = fast_faults and bus is None and not hooks
         read_threshold = self.read_threshold
         write_threshold = self.write_threshold
         dram_location = PageLocation.DRAM

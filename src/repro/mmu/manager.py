@@ -205,6 +205,11 @@ class MemoryManager:
         if entry_a is None or entry_b is None:
             missing = page_a if entry_a is None else page_b
             raise KeyError(f"page {missing} is not resident")
+        if entry_a.copy_frame is not None or entry_b.copy_frame is not None:
+            cached = page_a if entry_a.copy_frame is not None else page_b
+            raise ValueError(
+                f"page {cached} has a DRAM copy; drop it before swapping"
+            )
         location_a = entry_a.location
         location_b = entry_b.location
         if location_a is location_b:
@@ -388,43 +393,46 @@ class MemoryManager:
     # Invariants
     # ------------------------------------------------------------------
     def validate(self) -> None:  # repro: cold
-        """Cross-check page table, frame pools and accounting."""
-        dram_resident = self.page_table.count_in(PageLocation.DRAM)
-        nvm_resident = self.page_table.count_in(PageLocation.NVM)
-        copies = sum(
-            1 for entry in self.page_table.entries() if entry.has_copy
-        )
-        if dram_resident + copies != self.dram.used:
-            raise AssertionError(
-                f"DRAM pages ({dram_resident}) + copies ({copies}) != "
-                f"frames in use ({self.dram.used})"
-            )
-        if nvm_resident != self.nvm.used:
-            raise AssertionError(
-                f"NVM pages ({nvm_resident}) != frames in use "
-                f"({self.nvm.used})"
-            )
-        # Frame identity: every entry references an allocated frame in
-        # its own module and no two entries share one (a count match
-        # alone cannot see aliasing or cross-tier leaks).
+        """Cross-check page table, frame pools and accounting: each
+        resident page holds one allocated frame in exactly one tier,
+        plus a DRAM copy's frame only if NVM-resident, no frame is
+        double-booked, and no allocated frame is left unclaimed."""
         owners: dict[tuple[PageLocation, int], int] = {}
         for entry in self.page_table.entries():
-            claims = [(entry.location, entry.frame)]
-            if entry.has_copy:
-                assert entry.copy_frame is not None
-                claims.append((PageLocation.DRAM, entry.copy_frame))
-            for location, frame in claims:
-                if not self._allocators[location].is_allocated(frame):
+            page, location = entry.page, entry.location
+            if location not in self._allocators:
+                raise AssertionError(
+                    f"page {page} resident with location {location} "
+                    "(must be exactly one memory tier)"
+                )
+            claims = [(location, entry.frame)]
+            if entry.copy_frame is not None:
+                if location is not _NVM:
                     raise AssertionError(
-                        f"page {entry.page} references unallocated "
-                        f"{location} frame {frame}"
+                        f"page {page} holds a DRAM copy while resident in "
+                        f"{location}; it would live in two tiers at once"
                     )
-                owner = owners.setdefault((location, frame), entry.page)
-                if owner != entry.page:
+                claims.append((_DRAM, entry.copy_frame))
+            for claim in claims:
+                tier, frame = claim
+                if not self._allocators[tier].is_allocated(frame):
                     raise AssertionError(
-                        f"{location} frame {frame} is double-booked by "
-                        f"pages {owner} and {entry.page}"
+                        f"page {page} references unallocated {tier} "
+                        f"frame {frame}"
                     )
+                owner = owners.setdefault(claim, page)
+                if owner != page:
+                    raise AssertionError(
+                        f"{tier} frame {frame} is double-booked by pages "
+                        f"{owner} and {page}"
+                    )
+        for tier, allocator in self._allocators.items():
+            claimed = sum(1 for claim_tier, _ in owners if claim_tier is tier)
+            if claimed != allocator.used:
+                raise AssertionError(
+                    f"{tier} pages and copies ({claimed}) != frames in use "
+                    f"({allocator.used})"
+                )
         self.accounting.validate()
         # Every page currently resident arrived via exactly one fault
         # fill and never left, or was re-faulted after an eviction (or

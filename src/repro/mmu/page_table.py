@@ -50,8 +50,3 @@ class PageTable:
             for entry in self._entries.values()
             if entry.location is location
         ]
-
-    def count_in(self, location: PageLocation) -> int:
-        return sum(
-            1 for entry in self._entries.values() if entry.location is location
-        )

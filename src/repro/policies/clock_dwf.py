@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation
-from repro.policies.base import HybridMemoryPolicy
+from repro.policies.base import HybridMemoryPolicy, KernelContract
 from repro.policies.replacement import ClockReplacement
 
 
@@ -195,6 +195,12 @@ class ClockDWFPolicy(HybridMemoryPolicy):
         else:
             self._page_fault(page, is_write)
 
+    kernel_contract = KernelContract(
+        inlines=("access",),
+        reads={"mm": MemoryManager, "dram_clock": WriteHistoryClock,
+               "nvm_clock": ClockReplacement},
+    )
+
     def access_batch(self, pages: list[int], writes: list[bool]) -> None:
         """Batched kernel: hit fast paths inlined, page dispatch fused.
 
@@ -207,8 +213,7 @@ class ClockDWFPolicy(HybridMemoryPolicy):
         then is served by the inlined DRAM write-hit path, exactly as
         :meth:`access` serves it after the promotion.  Request and hit
         counters accumulate in locals and flush once per batch in a
-        ``finally`` block.  Subclasses that override ``access`` or
-        replace the NVM clock fall back to the per-request loop.
+        ``finally`` block.
 
         With an event bus attached, every call-out (fault, promotion,
         copy-served read) first folds the deferred request counters,
@@ -217,11 +222,7 @@ class ClockDWFPolicy(HybridMemoryPolicy):
         stream byte-identical to the per-request path's (the inlined
         hit paths never emit).
         """
-        cls = type(self)
-        if (
-            cls.access is not ClockDWFPolicy.access
-            or type(self.nvm_clock) is not ClockReplacement
-        ):
+        if not self.runs_kernel():
             super().access_batch(pages, writes)
             return
 

@@ -18,7 +18,7 @@ from repro.memory.accounting import WearAccounting
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation
 from repro.mmu.simulator import RunResult
-from repro.policies.base import HybridMemoryPolicy
+from repro.policies.base import HybridMemoryPolicy, KernelContract
 from repro.policies.replacement import LRUReplacement, ReplacementAlgorithm
 
 AlgorithmFactory = Callable[[int], ReplacementAlgorithm]
@@ -66,6 +66,10 @@ class SingleTierPolicy(HybridMemoryPolicy):
             self.mm.fault_fill(page, self.location, is_write)
         algorithm.insert(page, is_write)
 
+    kernel_contract = KernelContract(
+        inlines=("access", "_page_fault"), reads={"mm": MemoryManager},
+    )
+
     def access_batch(self, pages: list[int], writes: list[bool]) -> None:
         """Batched kernel: hits inlined, misses one lean cascade.
 
@@ -87,14 +91,9 @@ class SingleTierPolicy(HybridMemoryPolicy):
         miss's request itself and, with an event bus, folds the
         deferred requests (this one included) into ``bus.clock`` before
         the manager emits, so the event stream matches the per-request
-        path's.  Subclasses that override ``access`` or ``_page_fault``
-        fall back to the per-request loop.
+        path's.
         """
-        cls = type(self)
-        if (
-            cls.access is not SingleTierPolicy.access
-            or cls._page_fault is not SingleTierPolicy._page_fault
-        ):
+        if not self.runs_kernel():
             super().access_batch(pages, writes)
             return
 

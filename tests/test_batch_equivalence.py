@@ -10,13 +10,17 @@ loudly.
 
 from __future__ import annotations
 
+from enum import Enum
+
 import pytest
 
 from repro.core.migration import MigrationLRUPolicy
 from repro.memory.specs import HybridMemorySpec
+from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation
 from repro.mmu.simulator import HybridMemorySimulator
 from repro.obs import EventConfig
+from repro.policies.base import HybridMemoryPolicy
 from repro.policies.registry import available_policies, policy_factory
 from repro.policies.single_tier import NvmOnlyPolicy
 from repro.workloads.mix import mix_workloads
@@ -197,3 +201,121 @@ def test_single_tier_subclass_overriding_page_fault_replays_per_request():
                                       sanitize=False)
     result = simulator.run(trace)
     assert simulator.policy.handled == result.accounting.page_faults > 0
+
+
+# ----------------------------------------------------------------------
+# The kernel contract: a subclass may override any method of a policy
+# that runs a kernel, or of an object the policy holds, and the batch
+# replay still calls the override as often as the per-request replay
+# ----------------------------------------------------------------------
+#: Construction and attribute-protocol methods a counting subclass
+#: leaves alone, and the contract machinery itself.
+_UNCOUNTED = frozenset({
+    "__init__", "__new__", "__init_subclass__", "__subclasshook__",
+    "__getattr__", "__getattribute__", "__setattr__", "__delattr__",
+    "__del__", "access_batch", "runs_kernel",
+})
+
+
+def _counting_subclass(cls, names, calls):
+    """A subclass of ``cls`` whose ``names`` count each call in
+    ``calls[0]`` and pass it on.  It adds no slots, so an existing
+    object of ``cls`` can take it as its ``__class__``."""
+
+    def override(name):
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return getattr(super(subclass, self), name)(*args, **kwargs)
+        return counted
+
+    namespace = {name: override(name) for name in names}
+    namespace["__slots__"] = ()
+    subclass = type(cls)(f"Counting{cls.__name__}", (cls,), namespace)
+    return subclass
+
+
+def _methods(cls):
+    """Every plain method ``cls`` has below ``object``."""
+    return sorted({
+        name for klass in cls.__mro__[:-1]
+        for name, value in vars(klass).items()
+        if callable(value) and name not in _UNCOUNTED
+        and not isinstance(value, (type, staticmethod, classmethod))
+    })
+
+
+def _held(policy):
+    """The policy's attributes that hold an object of a project class
+    (the manager, queues, clocks, windows, algorithms, configs)."""
+    return sorted(
+        name for name, value in vars(policy).items()
+        if type(value).__module__.startswith("repro.")
+        and not isinstance(value, Enum)
+    )
+
+
+def _kernel_policies():
+    """(registry name, policy) of each registered policy whose class
+    runs a kernel."""
+    for name in available_policies():
+        policy = policy_factory(name)(MemoryManager(_spec_for(name, 8)))
+        if type(policy).access_batch is not HybridMemoryPolicy.access_batch:
+            yield name, policy
+
+
+def _contract_cases():
+    """Every method of each kernel policy and every project object it
+    holds, found without reading the declarations: a name missing from
+    one still has its case."""
+    cases = []
+    for name, policy in _kernel_policies():
+        cases += [pytest.param(name, method, None, id=f"{name}-{method}")
+                  for method in _methods(type(policy))]
+        cases += [pytest.param(name, None, attribute,
+                               id=f"{name}-{attribute}")
+                  for attribute in _held(policy)]
+    return cases
+
+
+def _contract_run(name, method, attribute, batch, events):
+    """One short zipf replay of the registered policy ``name`` with
+    ``method`` overridden, or ``attribute`` turned into a subclass whose
+    every method is overridden; returns the result and the calls."""
+    calls = [0]
+    base = policy_factory(name)
+
+    def factory(mm):
+        policy = base(mm)
+        if method is not None:
+            policy.__class__ = _counting_subclass(
+                type(policy), (method,), calls)
+        else:
+            value = getattr(policy, attribute)
+            # object.__setattr__ reaches into frozen dataclasses too.
+            object.__setattr__(value, "__class__", _counting_subclass(
+                type(value), _methods(type(value)), calls))
+        return policy
+
+    simulator = HybridMemorySimulator(
+        _spec_for(name, _ZIPF_PAGES), factory, sanitize=False, batch=batch,
+        events=EventConfig(buckets=8, trace=True) if events else None,
+    )
+    trace = zipf_workload(pages=_ZIPF_PAGES, requests=2_000, alpha=1.2,
+                          write_ratio=0.3, seed=7)
+    return simulator.run(trace).to_dict(), calls[0]
+
+
+@pytest.mark.parametrize("name, method, attribute", _contract_cases())
+def test_kernel_never_bypasses_an_override(name, method, attribute):
+    for events in (False, True):
+        batched = _contract_run(name, method, attribute, True, events)
+        looped = _contract_run(name, method, attribute, False, events)
+        assert batched == looped
+
+
+@pytest.mark.parametrize("name, policy", list(_kernel_policies()),
+                         ids=[name for name, _ in _kernel_policies()])
+def test_each_kernel_declares_its_contract(name, policy):
+    kernel = next(klass for klass in type(policy).__mro__
+                  if "access_batch" in vars(klass))
+    assert "kernel_contract" in vars(kernel), kernel

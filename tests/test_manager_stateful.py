@@ -9,6 +9,7 @@ correctness net over the layer every policy depends on.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -96,6 +97,11 @@ class ManagerMachine(RuleBasedStateMachine):
                 self.placed.get(page_b) != "dram":
             return
         if page_a in self.copies:
+            # A page with a live DRAM copy cannot move: the swap raises
+            # in either order and the manager stays as the model has it.
+            for pair in ((page_a, page_b), (page_b, page_a)):
+                with pytest.raises(ValueError, match="DRAM copy"):
+                    self.mm.swap(*pair)
             return
         self.mm.swap(page_a, page_b)
         self.placed[page_a] = "dram"

@@ -83,7 +83,6 @@ class TestPageTable:
         table.insert(PageTableEntry(3, PageLocation.NVM, 1))
         assert table.pages_in(PageLocation.DRAM) == [1]
         assert sorted(table.pages_in(PageLocation.NVM)) == [2, 3]
-        assert table.count_in(PageLocation.NVM) == 2
 
     def test_mark_access_sets_dirty_on_write(self):
         entry = PageTableEntry(1, PageLocation.DRAM, 0)
@@ -322,6 +321,8 @@ _MISUSES = [
     ("swap", (50, 10), KeyError),                    # unknown page
     ("swap", (1, 2), ValueError),                    # same module (DRAM)
     ("swap", (10, 12), ValueError),                  # same module (NVM)
+    ("swap", (11, 1), ValueError),                   # live DRAM copy
+    ("swap", (1, 11), ValueError),                   # live DRAM copy
     ("has_free", (_DISK,), ValueError),              # no DISK allocator
 ]
 
@@ -338,6 +339,22 @@ def test_misuse_raises_and_changes_nothing(small_spec, operation,
         getattr(mm, operation)(*arguments)
     assert _manager_state(mm) == before
     mm.validate()
+
+
+@pytest.mark.parametrize("tamper, message", [
+    # A DRAM copy of a DRAM-resident page: two DRAM frames, one page.
+    (lambda mm, entry: setattr(entry, "copy_frame", mm.dram.allocate()),
+     "two tiers"),
+    (lambda mm, entry: setattr(entry, "location", PageLocation.DISK),
+     "exactly one memory tier"),
+], ids=["copy-of-a-dram-page", "disk-location"])
+def test_validate_refuses_a_page_outside_one_tier(small_spec, tamper,
+                                                  message):
+    mm = MemoryManager(small_spec)
+    mm.record_request(False)
+    tamper(mm, mm.fault_fill(0, PageLocation.DRAM, False))
+    with pytest.raises(AssertionError, match=message):
+        mm.validate()
 
 
 @pytest.mark.parametrize("arguments, error", [
